@@ -40,7 +40,12 @@ trait SendCtx[M] {
   */
 trait VertexProgram[S, M] extends Serializable {
 
-  /** Initial algorithm state for every vertex, before superstep 0. */
+  /** Initial algorithm state for every vertex, before superstep 0.
+    *
+    * Must be a pure function of `v`: an engine may call it more than once
+    * for a vertex, and reports it as the final state of a vertex that never
+    * ran [[compute]] instead of storing it.
+    */
   def initialState(v: VertexInfo): S
 
   /** Vertices active at superstep 0; they run [[compute]] with no inbox

@@ -19,7 +19,7 @@ object JoinMsg {
   final case class Agg(p: Partials) extends JoinMsg
 
   def merge(a: JoinMsg, b: JoinMsg): JoinMsg = (a, b) match {
-    case (Ids(x), Ids(y)) => Ids(x ++ y)
+    case (Ids(x), Ids(y)) => Ids(y ::: x) // copy the incoming side: linear fan-in
     case (Tables(x), Tables(y)) =>
       Tables(y.foldLeft(x) { case (m, (k, t)) => m.updated(k, m.getOrElse(k, Vector.empty) ++ t) })
     case (Corr(x), Corr(y)) => Corr(x.merge(y))

@@ -33,21 +33,40 @@ object CycMsg {
   final case class Red(side: Char, anchors: Map[Any, Set[Long]]) extends CycMsg
   final case class Sig(side: Char, from: Map[Any, Set[Long]]) extends CycMsg
   final case class Tab(side: Char, tables: Map[Any, Table]) extends CycMsg
-  /** Different phases/sides can land on one vertex in one superstep. */
+  /** Different phases/sides can land on one vertex in one superstep. A Mix
+    * holds at most one part per (kind, side), in [[slot]] order, so merging
+    * the same messages in any order gives the same parts.
+    */
   final case class Mix(msgs: Vector[CycMsg]) extends CycMsg
 
-  def merge(a: CycMsg, b: CycMsg): CycMsg = (a, b) match {
-    case (Wake(x), Wake(y)) => Wake(x ++ y)
-    case (Red(s1, m1), Red(s2, m2)) if s1 == s2 =>
-      Red(s1, m2.foldLeft(m1) { case (m, (k, v)) => m.updated(k, m.getOrElse(k, Set.empty) ++ v) })
-    case (Sig(s1, m1), Sig(s2, m2)) if s1 == s2 =>
-      Sig(s1, m2.foldLeft(m1) { case (m, (k, v)) => m.updated(k, m.getOrElse(k, Set.empty) ++ v) })
-    case (Tab(s1, t1), Tab(s2, t2)) if s1 == s2 =>
-      Tab(s1, t2.foldLeft(t1) { case (m, (k, v)) => m.updated(k, m.getOrElse(k, Vector.empty) ++ v) })
-    case (Mix(xs), Mix(ys)) => Mix(xs ++ ys)
-    case (Mix(xs), y)       => Mix(xs :+ y)
-    case (x, Mix(ys))       => Mix(x +: ys)
-    case (x, y)             => Mix(Vector(x, y))
+  /** (kind, side) of a part; parts of one slot merge into one. */
+  private def slot(m: CycMsg): (Int, Char) = m match {
+    case Wake(_)      => (0, ' ')
+    case Red(side, _) => (1, side)
+    case Sig(side, _) => (2, side)
+    case Tab(side, _) => (3, side)
+    case Mix(_)       => sys.error("nested Mix")
+  }
+
+  private def union[V](a: Map[Any, V], b: Map[Any, V])(f: (V, V) => V): Map[Any, V] =
+    b.foldLeft(a) { case (m, (k, v)) => m.updated(k, m.get(k).fold(v)(f(_, v))) }
+
+  /** Merge two parts of the same slot. */
+  private def mergePart(a: CycMsg, b: CycMsg): CycMsg = (a, b) match {
+    case (Wake(x), Wake(y))       => Wake(x ++ y)
+    case (Red(s, m1), Red(_, m2)) => Red(s, union(m1, m2)(_ ++ _))
+    case (Sig(s, m1), Sig(_, m2)) => Sig(s, union(m1, m2)(_ ++ _))
+    case (Tab(s, t1), Tab(_, t2)) => Tab(s, union(t1, t2)(_ ++ _))
+    case _                        => sys.error(s"not one slot: $a / $b")
+  }
+
+  def merge(a: CycMsg, b: CycMsg): CycMsg = {
+    val (xs, ys) = (parts(a), parts(b))
+    if (xs.size == 1 && ys.size == 1 && slot(xs.head) == slot(ys.head)) mergePart(xs.head, ys.head)
+    else {
+      val bySlot = (xs ++ ys).groupBy(slot).view.mapValues(_.reduce(mergePart))
+      Mix(bySlot.toVector.sortBy(_._1).map(_._2))
+    }
   }
 
   def parts(m: CycMsg): Vector[CycMsg] = m match {
@@ -178,6 +197,7 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
     }
 
     var st = s
+    var meet = false
     val touchedMeeting = scala.collection.mutable.Set.empty[(Char, Any)]
 
     parts(msg.get).foreach {
@@ -209,8 +229,9 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
             val fwd = Red(side, anchors.keysIterator.map(a => a -> Set(v.id)).toMap)
             edges.foreach(e => if (e.label == path(side)(pos)) ctx.send(e.dst, fwd))
           } else if (step == redEnd) {
-            // meeting vertex on the longer side: intersect and signal back
-            signalBack(v, st, ctx)
+            // meeting vertex on the longer side: intersect and signal back,
+            // once both sides' parts of this step are recorded
+            meet = true
           }
           // (shorter-side arrivals before redEnd just record marks; the
           //  longer side's arrival at redEnd triggers the intersection)
@@ -259,6 +280,7 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
 
       case Mix(_) => sys.error("nested Mix")
     }
+    if (meet) signalBack(v, st, ctx)
 
     // Emit joined cycles for anchors whose both sides have now arrived.
     touchedMeeting.map(_._2).foreach { a =>

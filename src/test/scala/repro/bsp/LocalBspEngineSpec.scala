@@ -108,4 +108,32 @@ class LocalBspEngineSpec extends AnyFunSuite {
     assert(one.mapStates((v, s) => Some(v.id -> s)).toMap ==
       many.mapStates((v, s) => Some(v.id -> s)).toMap)
   }
+
+  test("a vertex program that throws makes run throw, on any thread count") {
+    val g = TestDb.graph(r, s)
+    val boomId = g.attrIndex(2L).toLong // computes at superstep 1
+    class Boom extends Flood(4) {
+      override def compute(step: Int, v: VertexInfo, s: Int, msg: Option[Int],
+          edges: IndexedSeq[OutEdge], ctx: SendCtx[Int]): Int =
+        if (v.id == boomId) throw new IllegalStateException("boom")
+        else super.compute(step, v, s, msg, edges, ctx)
+    }
+    for (t <- Seq(1, 4)) {
+      val e = intercept[IllegalStateException](new LocalBspEngine(g, threads = t).run(new Boom))
+      assert(e.getMessage == "boom", s"threads=$t")
+    }
+  }
+
+  test("a vertex that is never activated reports its initialState") {
+    class OnlyR extends Flood(1) {
+      override def initialState(v: VertexInfo): Int = 1000 + v.id.toInt
+    }
+    val run = engine.run(new OnlyR)
+    val states = run.mapStates((v, s) => Some((v, s)))
+    assert(states.size == TestDb.graph(r, s).numVertices)
+    states.foreach { case (v, st) =>
+      // R tuples computed at step 0 (state 0); nothing else ever ran
+      assert(st == (if (v.isTuple && v.label == "R") 0 else 1000 + v.id.toInt), v)
+    }
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bsp.LocalBspEngine
 
 /** §6 cyclic joins: triangle (vanilla and heavy/light) and n-way cycles,
   * cross-checked against brute force; communication-bound sanity checks.
@@ -112,24 +113,51 @@ class CycleJoinSpec extends AnyFunSuite {
     }
   }
 
-  test("5-cycle (odd, unequal path lengths) matches brute force") {
-    val rnd = new scala.util.Random(13)
-    def pick() = s"v${rnd.nextInt(2)}"
-    val rels = (1 to 5).map { i =>
-      val c1 = s"x$i"; val c2 = s"x${i % 5 + 1}"
-      rel(s"R$i", Seq(c1, c2), Seq(c1, c2), (1 to 6).map(_ => Seq[Any](pick(), pick())))
+  /** A k-cycle R1(x1,x2) ⋈ … ⋈ Rk(xk,x1) of `rows` random rows per
+    * relation over `dom` values, its spec, and the brute-force result.
+    */
+  private def ring(k: Int, rows: Int, dom: Int, seed: Int) = {
+    val rnd = new scala.util.Random(seed)
+    def pick() = s"v${rnd.nextInt(dom)}"
+    val rels = (1 to k).map { i =>
+      val c1 = s"x$i"; val c2 = s"x${i % k + 1}"
+      rel(s"R$i", Seq(c1, c2), Seq(c1, c2), (1 to rows).map(_ => Seq[Any](pick(), pick())))
     }
-    val joins = (1 to 5).map { i =>
-      val prev = if (i == 1) 5 else i - 1
+    val joins = (1 to k).map { i =>
+      val prev = if (i == 1) k else i - 1
       ja(s"X$i", s"R$prev" -> s"x$i", s"R$i" -> s"x$i")
     }
-    val spec = CycleSpec(Vector.tabulate(5)(i => s"R${i + 1}"), joins.toVector,
-      carry = (1 to 5).map(i => s"R$i" -> Seq(s"x$i", s"x${i % 5 + 1}")).toMap)
+    val spec = CycleSpec(Vector.tabulate(k)(i => s"R${i + 1}"), joins.toVector,
+      carry = (1 to k).map(i => s"R$i" -> Seq(s"x$i", s"x${i % k + 1}")).toMap)
+    val ref = clean(refJoin(rels, joins)).map(_.view.filterKeys((1 to k).map(i => s"x$i").toSet).toMap)
+    (rels, spec, ref)
+  }
+
+  test("5-cycle (odd, unequal path lengths) matches brute force") {
+    val (rels, spec, ref) = ring(5, 6, 2, 13)
     for (theta <- Seq(None, Some(2.0))) {
       val (out, _) = CycleJoin.run(engine(rels: _*), spec.copy(theta = theta))
-      val ref = clean(refJoin(rels, joins))
-        .map(_.view.filterKeys((1 to 5).map(i => s"x$i").toSet).toMap)
       assert(sameBag(out, ref), s"theta=$theta: ${out.size} vs ${ref.size}")
+    }
+  }
+
+  test("cycle stats do not depend on the thread count") {
+    val (r, s, t) = randomTriangleDb(5, 60, 6)
+    val (r4, spec4, ref4) = ring(4, 40, 5, 17)
+    val (r5, spec5, ref5) = ring(5, 30, 4, 19)
+    val cases = Seq(
+      ("triangle", Seq(r, s, t), triSpec(None), refTriangle(r, s, t)),
+      ("4-cycle", r4, spec4, ref4),
+      ("5-cycle", r5, spec5, ref5))
+    for ((name, rels, spec0, ref) <- cases; theta <- Seq(None, Some(2.0))) {
+      val g = graph(rels: _*)
+      val spec = spec0.copy(theta = theta)
+      val stats = for (threads <- Seq(1, 2, 8, 8)) yield {
+        val (out, st) = CycleJoin.run(new LocalBspEngine(g, threads), spec)
+        assert(sameBag(out, ref), s"$name theta=$theta threads=$threads")
+        st
+      }
+      assert(stats.distinct.size == 1, s"$name theta=$theta: $stats")
     }
   }
 

@@ -103,6 +103,99 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  // ------------------------------------------------------- message merge laws
+
+  /** `merge` is commutative and associative on `gen`, up to `canon`. */
+  private def mergeLaws[M](gen: Gen[M], merge: (M, M) => M, canon: M => Any): Unit = {
+    check(Prop.forAll(gen, gen)((a, b) => canon(merge(a, b)) == canon(merge(b, a))))
+    check(Prop.forAll(gen, gen, gen)((a, b, c) =>
+      canon(merge(merge(a, b), c)) == canon(merge(a, merge(b, c)))))
+  }
+
+  private type Table = RowTable.Table
+  private def bag[A](xs: Iterable[A]): Map[A, Int] = xs.groupBy(identity).view.mapValues(_.size).toMap
+  private def bags[K, A](m: Map[K, Iterable[A]]): Map[K, Map[A, Int]] = m.view.mapValues(bag).toMap
+
+  private val ids: Gen[List[Long]] = Gen.listOf(Gen.chooseNum(0L, 9L))
+  private val idSet: Gen[Set[Long]] = ids.map(_.toSet)
+  private val table: Gen[Table] =
+    Gen.listOf(Gen.chooseNum(0, 3)).map(_.map(i => Map[String, Any]("v" -> i)).toVector)
+  private def keyed[K, V](keys: Gen[K], v: Gen[V]): Gen[Map[K, V]] = Gen.mapOf(Gen.zip(keys, v))
+  private val tag: Gen[String] = Gen.oneOf("R", "S")
+  private val anchor: Gen[Any] = Gen.oneOf[Any]("a", "b", 7L)
+  private val side: Gen[Char] = Gen.oneOf('L', 'R')
+  // integer-valued doubles keep sums exact, so cells compare with ==
+  private val cell: Gen[AggCell] =
+    Gen.listOf(Gen.chooseNum(-9, 9)).map(_.foldLeft(AggCell.zero)(_ add _.toDouble))
+  private val partials: Gen[Partials] = Gen.listOf(Gen.zip(Gen.oneOf("g", "h"), Gen.chooseNum(-9, 9)))
+    .map(rs => Partials.ofRows(rs.map { case (g, v) => Map[String, Any]("g" -> g, "v" -> v.toDouble) },
+      Seq("g"), Seq(AggSpec(AggFunc.Sum, _("v").asInstanceOf[Double], "s"))))
+
+  test("property: every JoinMsg merge is commutative and associative") {
+    import JoinMsg._
+    def canon(m: JoinMsg): Any = m match {
+      case Ids(x)    => bag(x)
+      case Tables(x) => bags(x)
+      case other     => other
+    }
+    // each phase's variant, and the keep-alive Ping that may meet any of them
+    for (g <- Seq[Gen[JoinMsg]](ids.map(Ids), keyed(tag, table).map(Tables), cell.map(Corr),
+        partials.map(Agg)))
+      mergeLaws[JoinMsg](Gen.oneOf(g, Gen.const(Ping)), JoinMsg.merge, canon)
+  }
+
+  test("property: CycMsg merge is commutative and associative, one part per (kind, side)") {
+    import CycMsg._
+    val part: Gen[CycMsg] = Gen.oneOf[CycMsg](
+      idSet.map(Wake),
+      Gen.zip(side, keyed(anchor, idSet)).map { case (s, m) => Red(s, m) },
+      Gen.zip(side, keyed(anchor, idSet)).map { case (s, m) => Sig(s, m) },
+      Gen.zip(side, keyed(anchor, table)).map { case (s, m) => Tab(s, m) })
+    // what a vertex can receive: one part, or several merged on the way
+    val msg: Gen[CycMsg] = Gen.nonEmptyListOf(part).map(_.reduce(CycMsg.merge))
+    def slot(m: CycMsg): Any = m match {
+      case Wake(_)   => "W"
+      case Red(s, _) => ("R", s)
+      case Sig(s, _) => ("S", s)
+      case Tab(s, _) => ("T", s)
+      case Mix(_)    => "nested"
+    }
+    def canon(m: CycMsg): Any = {
+      val ps = parts(m)
+      if (ps.map(slot).distinct.size != ps.size) "two parts share a slot"
+      else ps.map {
+        case Tab(s, t) => ("T", s) -> bags(t)
+        case p         => slot(p) -> p
+      }.toMap
+    }
+    mergeLaws(msg, CycMsg.merge, canon)
+    check(Prop.forAll(msg, msg)((a, b) => canon(CycMsg.merge(a, b)) != "two parts share a slot"))
+  }
+
+  test("property: every TwMsg merge is commutative and associative") {
+    import TwMsg._
+    def canon(m: TwMsg): Any = m match {
+      case TIds(x)  => bag(x)
+      case TVals(x) => bags(x)
+      case TRows(x) => bags(x)
+    }
+    val vals = Gen.listOf(Gen.zip(Gen.chooseNum(0L, 5L), Gen.listOf(anchor).map(_.toVector)))
+    for (g <- Seq[Gen[TwMsg]](ids.map(TIds), keyed(tag, vals).map(TVals), keyed(tag, table).map(TRows)))
+      mergeLaws(g, TwMsg.merge, canon)
+  }
+
+  test("property: every CpMsg merge is commutative and associative") {
+    import CpMsg._
+    def canon(m: CpMsg): Any = m match {
+      case RIds(x)  => bag(x)
+      case SRows(x) => bag(x)
+      case other    => other
+    }
+    for (g <- Seq[Gen[CpMsg]](Gen.zip(idSet, idSet).map { case (r, s) => Reg(r, s) },
+        ids.map(x => RIds(x.distinct.toVector)), table.map(SRows)))
+      mergeLaws(g, CpMsg.merge, canon)
+  }
+
   test("property: ValueKey.normalize is idempotent") {
     val anyVal: Gen[Any] = Gen.oneOf(
       Gen.long.map(l => l: Any), Gen.alphaStr.map(s => s: Any),
