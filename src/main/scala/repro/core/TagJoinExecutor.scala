@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.types._
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.bsp._
 import repro.tag._
 
@@ -9,31 +8,7 @@ import repro.tag._
   * leave results distributed, this gathers them), the output column order,
   * and the BSP stats of every pass that ran.
   */
-final case class QueryResult(rows: Vector[Tup], columns: Seq[String], stats: Vector[BspStats]) {
-
-  /** Materialize as a DataFrame (types inferred from the first non-null). */
-  def toDF(spark: SparkSession): DataFrame = {
-    val denorm = rows.map(r => columns.map(c => ValueKey.denormalize(r.getOrElse(c, null))))
-    def typeOf(i: Int): DataType =
-      denorm.iterator.map(_(i)).find(_ != null) match {
-        case Some(_: java.lang.Long)    => LongType
-        case Some(_: java.lang.Double)  => DoubleType
-        case Some(_: java.sql.Date)     => DateType
-        case Some(_: java.lang.Boolean) => BooleanType
-        case _                          => StringType
-      }
-    val schema = StructType(columns.zipWithIndex.map { case (c, i) => StructField(c, typeOf(i)) })
-    val rws = denorm.map { vals =>
-      Row.fromSeq(vals.zipWithIndex.map {
-        case (v, i) => if (v == null) null else schema(i).dataType match {
-          case StringType => v.toString
-          case _          => v
-        }
-      })
-    }
-    spark.createDataFrame(new java.util.ArrayList[Row](scala.jdk.CollectionConverters.SeqHasAsJava(rws).asJava), schema)
-  }
-}
+final case class QueryResult(rows: Vector[Tup], columns: Seq[String], stats: Vector[BspStats])
 
 /** Single-table scan + aggregation program (TPC-H q1/q6 shape): one superstep
   * in which the relation's tuple vertices evaluate the pushed selection and

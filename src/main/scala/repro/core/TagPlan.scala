@@ -36,7 +36,7 @@ object TagPlan {
       require(
         tree.childrenOf(rel).map(_.child).distinct.size == tree.childrenOf(rel).size,
         s"multi-attribute tree edge at $rel — executor supports single-attribute joins; " +
-          "use TwoWayJoin.multiAttr or pre-combine the key")
+          "use TwoWayJoin with TwoWaySpec.others or pre-combine the key")
       val attrChildren = byAttr.collect {
         case (name, es) if !fromAttr.contains(name) =>
           AttrNode(es.head.attr, es.map(e => build(e.child, Some(name))).toVector)

@@ -116,7 +116,7 @@ object TagGraphBuilder {
 
   /** Distributed TAG graph as a GraphX `Graph`: vertex attr = VertexInfo-like
     * payload, edge attr = `R.A` label. Used by the distributed BSP engine
-    * (Tables 16/17) and the GraphX portability demo.
+    * (Tables 16/17).
     */
   def graphx(spark: SparkSession, relations: Seq[TagRelation]): Graph[repro.bsp.VertexInfo, String] = {
     val sc = spark.sparkContext

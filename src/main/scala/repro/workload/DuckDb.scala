@@ -4,23 +4,24 @@ import java.sql.{Connection, DriverManager}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types._
 
-/** Typed in-process DuckDB database for baseline timing (DESIGN.md
-  * substitution #5: DuckDB plays the commercial in-memory column-store
-  * role). Unlike [[repro.Oracle]] (all-VARCHAR correctness oracle), tables
-  * here get real column types plus PK-ish ART indexes on key columns, so
-  * query timings are representative.
+/** Typed in-process DuckDB database. It is the baseline timing system
+  * (DESIGN.md substitution #5: DuckDB plays the commercial in-memory
+  * column-store role) and the correctness oracle that tests compare Spark SQL
+  * against through [[query]] and [[ResultCheck]]. Tables get real column
+  * types plus ART indexes on key columns, so query timings are
+  * representative.
   */
 final class DuckDb extends AutoCloseable {
   Class.forName("org.duckdb.DuckDBDriver")
   val conn: Connection = DriverManager.getConnection("jdbc:duckdb:")
 
   private def sqlType(dt: DataType): String = dt match {
-    case LongType | IntegerType | ShortType => "BIGINT"
-    case DoubleType | FloatType             => "DOUBLE"
-    case DateType                           => "DATE"
-    case _: DecimalType                     => "DOUBLE"
-    case BooleanType                        => "BOOLEAN"
-    case _                                  => "VARCHAR"
+    case LongType | IntegerType | ShortType | ByteType => "BIGINT"
+    case DoubleType | FloatType                        => "DOUBLE"
+    case DateType                                      => "DATE"
+    case _: DecimalType                                => "DOUBLE"
+    case BooleanType                                   => "BOOLEAN"
+    case _                                             => "VARCHAR"
   }
 
   /** Create and bulk-load a table from a DataFrame (collects to driver). */
@@ -37,13 +38,14 @@ final class DuckDb extends AutoCloseable {
         val v = row.get(i)
         if (v == null) ps.setObject(i + 1, null)
         else schema.fields(i).dataType match {
-          case LongType | IntegerType | ShortType => ps.setLong(i + 1, row.get(i) match {
+          case LongType | IntegerType | ShortType | ByteType => ps.setLong(i + 1, row.get(i) match {
             case l: Long => l; case n: Number => n.longValue(); case o => o.toString.toLong
           })
           case DoubleType | FloatType | _: DecimalType =>
             ps.setDouble(i + 1, v match { case n: Number => n.doubleValue(); case o => o.toString.toDouble })
-          case DateType => ps.setDate(i + 1, v.asInstanceOf[java.sql.Date])
-          case _        => ps.setString(i + 1, v.toString)
+          case DateType    => ps.setDate(i + 1, v.asInstanceOf[java.sql.Date])
+          case BooleanType => ps.setBoolean(i + 1, v.asInstanceOf[Boolean])
+          case _           => ps.setString(i + 1, v.toString)
         }
       }
       ps.addBatch(); batch += 1
@@ -65,6 +67,19 @@ final class DuckDb extends AutoCloseable {
     while (rs.next()) { var i = 1; while (i <= w) { rs.getObject(i); i += 1 }; n += 1 }
     rs.close(); st.close()
     n
+  }
+
+  /** Run a query and return its result for [[ResultCheck]]. */
+  def query(sql: String): ResultCheck.Table = {
+    val st = conn.createStatement()
+    try {
+      val rs = st.executeQuery(sql)
+      val meta = rs.getMetaData
+      val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
+      val rows = Iterator.continually(rs).takeWhile(_.next())
+        .map(r => cols.indices.map(i => r.getObject(i + 1))).toVector
+      ResultCheck.Table(cols, rows)
+    } finally st.close()
   }
 
   override def close(): Unit = conn.close()

@@ -1,11 +1,13 @@
 package repro
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import repro.workload.{DuckDb, ResultCheck}
 
 /** The DuckDB oracle itself: typed table creation, date/decimal handling,
-  * canonical comparison, and mismatch detection.
+  * result comparison, and mismatch detection.
   */
 class OracleSpec extends SparkSpec {
+  import OracleSpec.duckdb
 
   test("oracle agrees on a typed aggregation with dates and doubles") {
     import spark.implicits._
@@ -17,7 +19,7 @@ class OracleSpec extends SparkSpec {
     val sql = """SELECT g, CAST(SUM(v) AS DOUBLE) AS s, CAST(COUNT(*) AS DOUBLE) AS c
                 |FROM t WHERE CAST(d AS DATE) < DATE '2020-12-31' GROUP BY g""".stripMargin
     df.createOrReplaceTempView("t")
-    Oracle.assertEquivalent(spark.sql(sql), sql, "t" -> df)
+    ResultCheck.assertSame(spark.sql(sql), duckdb(sql, "t" -> df))
   }
 
   test("oracle flags a wrong result") {
@@ -26,7 +28,7 @@ class OracleSpec extends SparkSpec {
     df.createOrReplaceTempView("t2")
     val wrong = spark.sql("SELECT CAST(SUM(v) + 1 AS DOUBLE) AS s FROM t2")
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, "SELECT CAST(SUM(v) AS DOUBLE) AS s FROM t2", "t2" -> df)
+      ResultCheck.assertSame(wrong, duckdb("SELECT CAST(SUM(v) AS DOUBLE) AS s FROM t2", "t2" -> df))
     }
   }
 
@@ -36,7 +38,7 @@ class OracleSpec extends SparkSpec {
     df.createOrReplaceTempView("t3")
     val renamed = spark.sql("SELECT CAST(SUM(v) AS DOUBLE) AS other FROM t3")
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(renamed, "SELECT CAST(SUM(v) AS DOUBLE) AS s FROM t3", "t3" -> df)
+      ResultCheck.assertSame(renamed, duckdb("SELECT CAST(SUM(v) AS DOUBLE) AS s FROM t3", "t3" -> df))
     }
   }
 
@@ -45,7 +47,7 @@ class OracleSpec extends SparkSpec {
     val df = Seq((1L, Some(2.0)), (2L, None)).toDF("k", "v")
     df.createOrReplaceTempView("t4")
     val sql = "SELECT k, v FROM t4"
-    Oracle.assertEquivalent(spark.sql(sql), sql, "t4" -> df)
+    ResultCheck.assertSame(spark.sql(sql), duckdb(sql, "t4" -> df))
   }
 
   test("oracle handles joins over two tables") {
@@ -55,7 +57,19 @@ class OracleSpec extends SparkSpec {
     a.createOrReplaceTempView("ta"); b.createOrReplaceTempView("tb")
     val sql = """SELECT s, CAST(SUM(v) AS DOUBLE) AS total
                 |FROM ta, tb WHERE ta.id = tb.id GROUP BY s""".stripMargin
-    Oracle.assertEquivalent(spark.sql(sql), sql, "ta" -> a, "tb" -> b)
+    ResultCheck.assertSame(spark.sql(sql), duckdb(sql, "ta" -> a, "tb" -> b))
+  }
+}
+
+object OracleSpec {
+
+  /** Load `tables` into a fresh DuckDB and return the result of `sql`. */
+  def duckdb(sql: String, tables: (String, DataFrame)*): ResultCheck.Table = {
+    val db = new DuckDb
+    try {
+      tables.foreach { case (name, df) => db.load(name, df) }
+      db.query(sql)
+    } finally db.close()
   }
 }
 

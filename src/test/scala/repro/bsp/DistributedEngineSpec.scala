@@ -2,7 +2,7 @@ package repro.bsp
 
 import repro.SparkSpec
 import repro.core._
-import repro.tag.{GraphxTwoWayJoin, TagGraphBuilder, TagRelation}
+import repro.tag.TagGraphBuilder
 import repro.workload.{ResultCheck, TpchQueries, Workload}
 
 /** The same vertex programs on the Spark-distributed engine (GraphX-derived
@@ -55,34 +55,7 @@ class DistributedEngineSpec extends SparkSpec {
     wl.tables.foreach { case (n, df) => df.createOrReplaceTempView(n) }
     val ex = TagJoinExecutor.distributed(spark, wl.relationSpecs)
     val q = wl.query("q3")
-    val tag = Workload.runTag(ex, q).toDF(spark)
+    val tag = Workload.runTag(ex, q)
     ResultCheck.assertSame(tag, spark.sql(q.sql), "dist-q3")
-  }
-}
-
-/** §4.1 two-way join written directly on GraphX aggregateMessages. */
-class GraphxTwoWayJoinSpec extends SparkSpec {
-
-  test("GraphX two-way join equals the BSP-engine two-way join") {
-    val r = TestDb.rel("R", Seq("a", "b"), Seq("a", "b"),
-      Seq(Seq("a1", "b1"), Seq("a2", "b1"), Seq("a4", "b2")))
-    val s = TestDb.rel("S", Seq("b", "c"), Seq("b", "c"),
-      Seq(Seq("b1", "c1"), Seq("b1", "c2"), Seq("b3", "c4")))
-    val spec = TwoWaySpec("R", "S", JoinAttr("b", Map("R" -> "b", "S" -> "b")),
-      carry = Map("R" -> Seq("a"), "S" -> Seq("c")))
-    val g = TagGraphBuilder.graphx(spark, Seq(r, s))
-    val gx = GraphxTwoWayJoin.run(g, spec)
-    val (bsp, _) = TwoWayJoin.run(TestDb.engine(r, s), spec)
-    assert(TestDb.sameBag(gx, bsp) && gx.size == 4)
-  }
-
-  test("GraphX two-way join applies tuple filters") {
-    val r = TestDb.rel("R", Seq("a", "b"), Seq("a", "b"), Seq(Seq("a1", "b1"), Seq("a2", "b1")))
-    val s = TestDb.rel("S", Seq("b", "c"), Seq("b", "c"), Seq(Seq("b1", "c1")))
-    val spec = TwoWaySpec("R", "S", JoinAttr("b", Map("R" -> "b", "S" -> "b")),
-      tupleFilter = Map("R" -> (t => t("a") != "a1")),
-      carry = Map("R" -> Seq("a"), "S" -> Seq("c")))
-    val g = TagGraphBuilder.graphx(spark, Seq(r, s))
-    assert(GraphxTwoWayJoin.run(g, spec).size == 1)
   }
 }

@@ -1,6 +1,7 @@
 package repro.workload
 
-import repro.{Oracle, SparkSpec}
+import repro.OracleSpec.duckdb
+import repro.SparkSpec
 import repro.core.TagJoinExecutor
 
 /** Every TPC-H-lite query: TAG-join output ≡ Spark SQL (Catalyst) output,
@@ -16,7 +17,7 @@ class TpchCorrectnessSpec extends SparkSpec {
 
   for (q <- TpchQueries.queries) {
     test(s"TPC-H ${q.name} (${q.category}): TAG-join matches Spark SQL") {
-      val tag = Workload.runTag(ex, q).toDF(spark)
+      val tag = Workload.runTag(ex, q)
       ResultCheck.assertSame(tag, spark.sql(q.sql), q.name)
     }
   }
@@ -29,8 +30,22 @@ class TpchCorrectnessSpec extends SparkSpec {
         case Nil  => wl.tables.keys.toSeq
         case rels => rels
       }
-      Oracle.assertEquivalent(spark.sql(q.sql), q.sql,
-        needed.map(n => n -> wl.tables(n)): _*)
+      ResultCheck.assertSame(spark.sql(q.sql),
+        duckdb(q.sql, needed.map(n => n -> wl.tables(n)): _*), qn)
+    }
+  }
+
+  test("TPC-H q1 and q19 at SF 0.05: TAG-join matches Spark SQL") {
+    // Their sums over ~3e5 lineitem rows run in another order than Spark's,
+    // so the two results differ in the last bits. A separate session keeps
+    // these tables out of the SF 0.002 views the other tests query.
+    val session = spark.newSession()
+    val big = TpchQueries.workload(session, 0.05)
+    big.tables.foreach { case (n, df) => df.createOrReplaceTempView(n) }
+    val bigEx = TagJoinExecutor.local(big.relationSpecs)
+    for (qn <- Seq("q1", "q19")) {
+      val q = big.query(qn)
+      ResultCheck.assertSame(Workload.runTag(bigEx, q), session.sql(q.sql), s"$qn at SF 0.05")
     }
   }
 

@@ -2,12 +2,11 @@ package repro.workload
 
 import repro.SparkSpec
 import repro.SynthData
-import repro.core.QueryResult
 import repro.bsp.BspStats
 import repro.tag.ValueKey
 
 /** Workload plumbing: generators' determinism and scaling, the Q helpers,
-  * QueryResult → DataFrame materialization, ResultCheck canonicalization.
+  * and ResultCheck comparison.
   */
 class WorkloadSpec extends SparkSpec {
 
@@ -65,22 +64,6 @@ class WorkloadSpec extends SparkSpec {
     assert(Q.str(tup, "s") == "x")
   }
 
-  test("QueryResult.toDF infers types and denormalizes dates") {
-    val rows = Vector(
-      Map[String, Any]("k" -> 1L, "v" -> 2.5, "d" -> ValueKey.DateKey(Q.D("2000-02-29")), "s" -> "a"),
-      Map[String, Any]("k" -> 2L, "v" -> null, "d" -> null, "s" -> null))
-    val df = QueryResult(rows, Seq("k", "v", "d", "s"), Vector.empty).toDF(spark)
-    val types = df.schema.fields.map(f => f.name -> f.dataType.typeName).toMap
-    assert(types == Map("k" -> "long", "v" -> "double", "d" -> "date", "s" -> "string"))
-    val r = df.collect().sortBy(_.getLong(0)).head
-    assert(r.getDate(2).toString == "2000-02-29")
-  }
-
-  test("QueryResult.toDF of an empty result has string columns and no rows") {
-    val df = QueryResult(Vector.empty, Seq("a", "b"), Vector.empty).toDF(spark)
-    assert(df.count() == 0 && df.columns.toSeq == Seq("a", "b"))
-  }
-
   test("ResultCheck treats 3L and 3.0 as the same value") {
     import spark.implicits._
     val a = Seq((1L, 3L)).toDF("g", "c")
@@ -100,6 +83,35 @@ class WorkloadSpec extends SparkSpec {
     val a = Seq((1L, "x"), (2L, "y")).toDF("g", "s")
     val b = Seq(("y", 2L), ("x", 1L)).toDF("s", "g")
     ResultCheck.assertSame(a, b)
+  }
+
+  private def table(rows: Any*) = ResultCheck.Table(Seq("v"), rows.map(Seq(_)))
+
+  test("ResultCheck accepts sums that differ in the last bits across a rounding boundary") {
+    val (x, y) = (1000.0000005 - 5e-13, 1000.0000005 + 5e-13)
+    assert(f"$x%.6f" != f"$y%.6f")
+    ResultCheck.assertSame(table(x), table(y))
+  }
+
+  test("ResultCheck rejects a 1e-6 relative difference") {
+    intercept[IllegalArgumentException](ResultCheck.assertSame(table(1000.0), table(1000.001)))
+  }
+
+  test("ResultCheck treats a DuckDB HUGEINT as the same integer as a Long") {
+    ResultCheck.assertSame(table(java.math.BigInteger.valueOf(5)), table(5L))
+  }
+
+  test("ResultCheck compares dates as epoch days whatever their type") {
+    val day = java.time.LocalDate.parse("1998-09-02")
+    ResultCheck.assertSame(table(ValueKey.DateKey(day.toEpochDay)), table(java.sql.Date.valueOf(day)))
+    ResultCheck.assertSame(table(java.sql.Date.valueOf(day)), table(day))
+  }
+
+  test("ResultCheck matches reordered rows whose cells concatenate to the same string") {
+    val cols = Seq("a", "b")
+    ResultCheck.assertSame(
+      ResultCheck.Table(cols, Seq(Seq("a", "bc"), Seq("ab", "c"))),
+      ResultCheck.Table(cols, Seq(Seq("ab", "c"), Seq("a", "bc"))))
   }
 
   test("workload catalogs expose the paper's category mix") {
