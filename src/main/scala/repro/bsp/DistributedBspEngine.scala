@@ -5,6 +5,7 @@ import org.apache.spark.graphx.Graph
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
+import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
 
 /** Distributed vertex-centric BSP engine over Spark.
@@ -16,11 +17,19 @@ import scala.reflect.ClassTag
   * the BSP barrier is the stage boundary. The same [[VertexProgram]]s run
   * unchanged on this engine and on [[LocalBspEngine]].
   *
-  * Standard Pregel optimization: adjacency, states and inboxes share one
-  * hash partitioner, so per-superstep joins shuffle only the messages.
+  * A run keeps one RDD of vertex records (info, out-edges, state, the
+  * messages sent in the last superstep), partitioned like the adjacency.
+  * The inbox is the `reduceByKey` of the records' messages under the same
+  * partitioner, so a superstep zips each record partition with its inbox
+  * partition: only messages are shuffled, and `compute` runs once per
+  * active vertex. One `collect` per superstep returns each partition's send
+  * count and its pre-merged share of the aggregator's inbox; the
+  * aggregator's answers join the next superstep's messages and count as
+  * sent messages, as on [[LocalBspEngine]].
   */
 final class DistributedBspEngine(
     adjacency: RDD[(Long, (VertexInfo, Array[OutEdge]))]) extends BspEngine with Serializable {
+  import DistributedBspEngine._
 
   // modest partition count: each superstep is a full stage round-trip, so
   // task-launch overhead dominates at repro scale — fewer, fatter tasks win
@@ -31,82 +40,74 @@ final class DistributedBspEngine(
   override def run[S, M](program: VertexProgram[S, M])(implicit
       st: ClassTag[S], mt: ClassTag[M]): BspRun[S, M] = {
     val sc = adj.sparkContext
-
-    var states: RDD[(Long, S)] = adj
-      .mapValues { case (info, _) => program.initialState(info) }
-      .persist(StorageLevel.MEMORY_AND_DISK)
-
     val perStep = Vector.newBuilder[Long]
     var aggAll: Option[M] = None
+    var answers: Seq[(Long, M)] = Nil // the aggregator's answers of the last superstep
+    var records: RDD[Rec[S, M]] = adj.mapPartitions(_.map { case (_, (info, edges)) =>
+      Rec(info, ArraySeq.unsafeWrapArray(edges), program.initialState(info), NoSends)
+    }, preservesPartitioning = true)
     var step = 0
-    var pending: RDD[(Long, M)] = null // co-partitioned with adj
     var done = false
 
     while (!done && step < program.maxSteps) {
-      val active: RDD[(Long, (VertexInfo, Array[OutEdge], S, Option[M]))] =
-        if (step == 0)
-          adj.join(states, partitioner).flatMap { case (id, ((info, edges), s)) =>
-            if (program.initiallyActive(info, s, edges.toIndexedSeq))
-              Some((id, (info, edges, s, Option.empty[M])))
-            else None
-          }
-        else
-          adj.join(states, partitioner).join(pending, partitioner).map {
-            case (id, (((info, edges), s), m)) => (id, (info, edges, s, Some(m)))
-          }
-
       val curStep = step
-      val updatedAndOut = active.map { case (id, (info, edges, s0, msg)) =>
-        val out = Vector.newBuilder[(Long, M)]
-        val ctx = new SendCtx[M] { def send(target: Long, m: M): Unit = out += (target -> m) }
-        val s = program.compute(curStep, info, s0, msg, edges.toIndexedSeq, ctx)
-        (id, (s, out.result()))
-      }.persist(StorageLevel.MEMORY_AND_DISK)
+      val next: RDD[Rec[S, M]] =
+        if (step == 0)
+          records.mapPartitions(_.map { r =>
+            if (program.initiallyActive(r.info, r.state, r.edges)) compute(program, curStep, r, None)
+            else r
+          }, preservesPartitioning = true)
+        else {
+          val sent = records.flatMap(_.sent.iterator.filter(_._1 != VertexProgram.AggregatorId))
+          val inbox = (if (answers.isEmpty) sent else sent ++ sc.parallelize(answers))
+            .reduceByKey(partitioner, program.merge(_, _))
+          records.zipPartitions(inbox, preservesPartitioning = true) { (rs, ms) =>
+            val in = ms.toMap
+            rs.map { r =>
+              in.get(r.info.id) match {
+                case Some(m)                => compute(program, curStep, r, Some(m))
+                case None if r.sent.isEmpty => r
+                case None                   => r.copy(sent = NoSends)
+              }
+            }
+          }
+        }
+      next.persist(StorageLevel.MEMORY_AND_DISK)
 
-      // One real materialization per superstep; everything below reads cache.
-      val sentCount = updatedAndOut.map(_._2._2.size.toLong).fold(0L)(_ + _)
-      perStep += sentCount
+      // The superstep's one job: per partition, the messages sent and the
+      // partition's share of the aggregator's inbox, merged in record order.
+      val parts = next.mapPartitions { rs =>
+        var n = 0L
+        var agg = Option.empty[M]
+        rs.foreach(_.sent.foreach { case (target, m) =>
+          n += 1
+          if (target == VertexProgram.AggregatorId) agg = Some(agg.fold(m)(program.merge(_, m)))
+        })
+        Iterator.single((n, agg))
+      }.collect()
 
       // Aggregator traffic: merged on the driver, answers re-injected (§2).
-      val aggMsgs = updatedAndOut
-        .flatMap(_._2._2.iterator.filter(_._1 == VertexProgram.AggregatorId).map(_._2))
-        .collect()
-      val answers: Seq[(Long, M)] =
-        if (aggMsgs.isEmpty) Seq.empty
-        else {
-          val merged = aggMsgs.reduce(program.merge)
+      answers = parts.iterator.flatMap(_._2).reduceOption(program.merge) match {
+        case None => Nil
+        case Some(merged) =>
           aggAll = Some(aggAll.fold(merged)(program.merge(_, merged)))
-          program.aggregatorCompute(step, merged).toSeq
-        }
+          program.aggregatorCompute(step, merged).toVector
+      }
+      val sentCount = parts.iterator.map(_._1).sum + answers.size
+      perStep += sentCount
 
-      val nextMsgs = (updatedAndOut
-        .flatMap(_._2._2.iterator.filter(_._1 != VertexProgram.AggregatorId)) ++
-        sc.parallelize(answers))
-        .reduceByKey(partitioner, program.merge(_, _))
-        .persist(StorageLevel.MEMORY_AND_DISK)
-
-      val prevStates = states
-      states = prevStates.leftOuterJoin(updatedAndOut.mapValues(_._1), partitioner).mapValues {
-        case (_, Some(s2)) => s2
-        case (s1, None)    => s1
-      }.persist(StorageLevel.MEMORY_AND_DISK)
-
-      if (pending != null) pending.unpersist(blocking = false)
-      pending = nextMsgs
+      records.unpersist(blocking = false)
+      records = next
       step += 1
-      if (sentCount == 0) done = true
-      prevStates.unpersist(blocking = false)
-      updatedAndOut.unpersist(blocking = false)
+      done = sentCount == 0
     }
 
-    val finalStates = states
+    val finalRecords = records
     val finalStats = BspStats(step, perStep.result())
     val agg = aggAll
     new BspRun[S, M] {
       def mapStates[O: ClassTag](f: (VertexInfo, S) => IterableOnce[O]): Vector[O] =
-        adj.join(finalStates, partitioner).flatMap {
-          case (_, ((info, _), s)) => f(info, s).iterator
-        }.collect().toVector
+        finalRecords.flatMap(r => f(r.info, r.state)).collect().toVector
       def aggregate: Option[M] = agg
       def stats: BspStats = finalStats
     }
@@ -114,6 +115,22 @@ final class DistributedBspEngine(
 }
 
 object DistributedBspEngine {
+
+  /** One vertex of a run: its info and out-edges, its state, and the
+    * messages it sent in the superstep that produced this record.
+    */
+  private final case class Rec[S, M](info: VertexInfo, edges: IndexedSeq[OutEdge], state: S,
+      sent: Vector[(Long, M)])
+
+  private val NoSends = Vector.empty
+
+  private def compute[S, M](program: VertexProgram[S, M], step: Int, r: Rec[S, M],
+      msg: Option[M]): Rec[S, M] = {
+    val out = Vector.newBuilder[(Long, M)]
+    val ctx = new SendCtx[M] { def send(target: Long, m: M): Unit = out += (target -> m) }
+    val s = program.compute(step, r.info, r.state, msg, r.edges, ctx)
+    Rec(r.info, r.edges, s, out.result())
+  }
 
   /** Derive the adjacency-view engine from a GraphX TAG graph. */
   def fromGraph(g: Graph[VertexInfo, String]): DistributedBspEngine = {

@@ -34,8 +34,4 @@ object RowTable {
 
   def naturalJoinAll(tables: Seq[Table]): Table =
     tables.reduceLeftOption(naturalJoin).getOrElse(empty)
-
-  /** Project to `cols`, silently keeping only present columns. */
-  def project(t: Table, cols: Set[String]): Table =
-    t.map(_.view.filterKeys(cols).toMap)
 }

@@ -1,8 +1,8 @@
 package repro.tag
 
-import org.apache.spark.graphx.{Edge, Graph, VertexId}
-import org.apache.spark.rdd.RDD
+import org.apache.spark.graphx.{Edge, Graph}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.bsp.VertexInfo
 
 import scala.collection.mutable
 
@@ -111,55 +111,16 @@ object TagGraphBuilder {
     new LocalTagGraph(n, labels, isTuple, tData, aData, off, dst, lab, labelNames.toArray)
   }
 
-  def fromDataFrames(rels: Seq[(String, DataFrame, Seq[String])]): LocalTagGraph =
-    local(rels.map { case (n, df, ac) => TagRelation.fromDataFrame(n, df, ac) })
-
-  /** Distributed TAG graph as a GraphX `Graph`: vertex attr = VertexInfo-like
-    * payload, edge attr = `R.A` label. Used by the distributed BSP engine
-    * (Tables 16/17).
+  /** The TAG graph as a GraphX `Graph` for the distributed BSP engine
+    * (Tables 16/17): a view of [[local]]'s CSR with the same vertex ids,
+    * vertex attr = the vertex's `VertexInfo`, one edge per CSR entry with
+    * its `R.A` label.
     */
-  def graphx(spark: SparkSession, relations: Seq[TagRelation]): Graph[repro.bsp.VertexInfo, String] = {
+  def graphx(spark: SparkSession, relations: Seq[TagRelation]): Graph[VertexInfo, String] = {
+    val g = local(relations)
+    val ids = 0 until g.numVertices
+    val edges = for (v <- ids; e <- g.outEdges(v)) yield Edge(v.toLong, e.dst, e.label)
     val sc = spark.sparkContext
-
-    var offset = 0L
-    val tupleParts = relations.map { rel =>
-      val base = offset
-      offset += rel.rows.size
-      sc.parallelize(rel.rows.zipWithIndex.map { case (t, i) =>
-        (base + i, repro.bsp.VertexInfo(base + i, rel.name, isTuple = true, t, null))
-      })
-    }
-    val tupleVerts: RDD[(VertexId, repro.bsp.VertexInfo)] = sc.union(tupleParts)
-
-    val occurrences: RDD[(Any, (VertexId, String))] = sc.union(relations.map { rel =>
-      val base = relationBase(relations, rel.name)
-      sc.parallelize(rel.rows.zipWithIndex.flatMap { case (t, i) =>
-        rel.attrCols.flatMap { c =>
-          val v = t.getOrElse(c, null)
-          if (v != null && ValueKey.materializable(v)) Some((v, (base + i, s"${rel.name}.$c")))
-          else None
-        }
-      })
-    })
-
-    val attrBase = offset
-    val attrVerts = occurrences.keys.distinct().zipWithIndex().map { case (v, i) =>
-      (v, attrBase + i)
-    }.cache()
-
-    val edges: RDD[Edge[String]] = occurrences.join(attrVerts).flatMap {
-      case (_, ((tid, lab), aid)) =>
-        Iterator(Edge(tid, aid, lab), Edge(aid, tid, lab))
-    }
-    val verts = tupleVerts ++ attrVerts.map { case (v, id) =>
-      (id, repro.bsp.VertexInfo(id, AttrLabel, isTuple = false, null, v))
-    }
-    Graph(verts, edges)
-  }
-
-  private def relationBase(relations: Seq[TagRelation], name: String): Long = {
-    var off = 0L
-    relations.foreach { r => if (r.name == name) return off else off += r.rows.size }
-    sys.error(s"unknown relation $name")
+    Graph(sc.parallelize(ids.map(g.info)).map(i => (i.id, i)), sc.parallelize(edges))
   }
 }

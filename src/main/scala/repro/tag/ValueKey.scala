@@ -37,10 +37,4 @@ object ValueKey {
     case _: DateKey | _: Boolean   => true
     case _                         => false
   }
-
-  /** Render a normalized value back into something Spark/DuckDB comparable. */
-  def denormalize(v: Any): Any = v match {
-    case DateKey(d) => java.sql.Date.valueOf(java.time.LocalDate.ofEpochDay(d))
-    case other      => other
-  }
 }

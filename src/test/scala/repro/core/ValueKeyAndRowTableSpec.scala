@@ -32,12 +32,6 @@ class ValueKeySpec extends AnyFunSuite {
     assert(materializable(normalize(java.sql.Date.valueOf("2001-01-01"))))
     assert(materializable(normalize(true)))
   }
-
-  test("denormalize round-trips dates") {
-    val d = java.sql.Date.valueOf("1999-12-31")
-    assert(denormalize(normalize(d)) == d)
-  }
-  test("denormalize is identity elsewhere")(assert(denormalize(42L) == 42L))
 }
 
 class RowTableSpec extends AnyFunSuite {
@@ -81,10 +75,6 @@ class RowTableSpec extends AnyFunSuite {
   }
 
   test("naturalJoinAll of nothing is empty")(assert(naturalJoinAll(Nil) == empty))
-
-  test("project keeps only requested present columns") {
-    assert(project(Vector(t("a" -> 1, "b" -> 2)), Set("a", "z")) == Vector(t("a" -> 1)))
-  }
 }
 
 class AggregatesSpec extends AnyFunSuite {

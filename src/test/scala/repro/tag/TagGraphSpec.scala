@@ -1,10 +1,10 @@
 package repro.tag
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.core.TestDb
 
 /** TAG encoding invariants (§3), on the paper's Figure 1 example. */
-class TagGraphSpec extends AnyFunSuite {
+class TagGraphSpec extends SparkSpec {
 
   // Figure 1: NATION(nationkey, name), CUSTOMER(custkey, nationkey),
   // ORDER(orderkey, custkey, date)
@@ -78,5 +78,15 @@ class TagGraphSpec extends AnyFunSuite {
   test("tuple payload is preserved on tuple vertices") {
     val t = (0 until g.numVertices).find(v => g.isTuple(v) && g.vertexLabel(v) == "NATION").get
     assert(g.tupleData(t).contains("name"))
+  }
+
+  test("the GraphX graph has the CSR's vertex ids, infos and edges") {
+    val gx = TagGraphBuilder.graphx(spark, Seq(nation, customer, order))
+    val verts = gx.vertices.collect()
+    assert(verts.length == g.numVertices)
+    assert(verts.toMap == (0 until g.numVertices).map(v => v.toLong -> g.info(v)).toMap)
+    def bag(es: Seq[(Long, Long, String)]) = es.groupBy(identity).view.mapValues(_.size).toMap
+    assert(bag(gx.edges.map(e => (e.srcId, e.dstId, e.attr)).collect().toSeq) ==
+      bag(for (v <- 0 until g.numVertices; e <- g.outEdges(v)) yield (v.toLong, e.dst, e.label)))
   }
 }
