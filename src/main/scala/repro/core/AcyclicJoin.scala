@@ -31,13 +31,55 @@ object JoinMsg {
   }
 }
 
-/** Per-vertex state of Algorithm 2. */
+/** Per-vertex state of Algorithm 2.
+  *
+  * `marked` holds the vertex's marks (Alg. 2 lines 8–9): for each edge label,
+  * the ids of the neighbours that reached it along an edge of that label,
+  * sorted and without duplicates. Each mark is one (neighbour, label) edge,
+  * so the DOWN and COLLECT passes message the marked ids of their label
+  * directly (§2 direct-to-id messaging) instead of scanning the out-edges.
+  */
 final case class JState(
-    marked: Set[(Long, String)] = Set.empty, // (neighbor id, edge label) marks
-    value: Table = Vector.empty,             // collection-phase partial table
-    thresh: Double = Double.NaN,             // correlated threshold (attribute vertices)
-    output: Table = Vector.empty,            // final result slice (root vertices)
-) extends Serializable
+    marked: Map[String, Array[Long]] = Map.empty, // edge label → marked neighbour ids
+    value: Table = Vector.empty,                   // collection-phase partial table
+    thresh: Double = Double.NaN,                   // correlated threshold (attribute vertices)
+    output: Table = Vector.empty,                  // final result slice (root vertices)
+) extends Serializable {
+
+  /** The marked neighbour ids of `label`, ascending. */
+  def marks(label: String): Array[Long] = marked.getOrElse(label, JState.NoIds)
+
+  /** Mark `senders` under `label`. */
+  def mark(label: String, senders: List[Long]): JState = {
+    val in = new Array[Long](senders.length)
+    var i = 0
+    senders.foreach { id => in(i) = id; i += 1 }
+    java.util.Arrays.sort(in)
+    copy(marked = marked.updated(label, JState.union(marks(label), in)))
+  }
+}
+
+object JState {
+  /** The state of a vertex before its first superstep. */
+  val Empty: JState = JState()
+
+  private val NoIds = new Array[Long](0)
+
+  /** The sorted, duplicate-free union of two ascending arrays. */
+  private def union(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val out = new Array[Long](a.length + b.length)
+    var i = 0
+    var j = 0
+    var n = 0
+    while (i < a.length || j < b.length) {
+      val fromA = j == b.length || (i < a.length && a(i) <= b(j))
+      val x = if (fromA) a(i) else b(j)
+      if (fromA) i += 1 else j += 1
+      if (n == 0 || out(n - 1) != x) { out(n) = x; n += 1 }
+    }
+    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
+  }
+}
 
 /** The acyclic TAG-join vertex program: Yannakakis-style reduction (connected
   * bottom-up pass, then top-down pass over marked edges) followed by a
@@ -73,16 +115,18 @@ final class AcyclicJoinProgram(
   private def tupleOk(v: VertexInfo): Boolean =
     spec.tupleFilter.get(v.label).forall(_(v.tuple))
 
-  private def projected(v: VertexInfo): Tup = {
-    val keep = spec.carry.getOrElse(v.label, Nil).toSet + ridCol(v.label)
-    v.tuple.view.filterKeys(keep).toMap
-  }
+  /** Columns a tuple of each relation carries into the collection phase. */
+  private val keepOf: Map[String, Set[String]] =
+    spec.relations.map(r => r -> (spec.carry.getOrElse(r, Nil).toSet + ridCol(r))).toMap
 
-  override def initialState(v: VertexInfo): JState = JState()
+  private def projected(v: VertexInfo): Tup =
+    v.tuple.view.filterKeys(keepOf(v.label)).toMap
+
+  override def initialState(v: VertexInfo): JState = JState.Empty
 
   override def initiallyActive(v: VertexInfo, s: JState, edges: IndexedSeq[OutEdge]): Boolean =
-    v.isTuple && tupleOk(v) &&
-      (v.label == plan.startRel || spec.correlated.exists(_.rel == v.label))
+    v.isTuple && (v.label == plan.startRel || spec.correlated.exists(_.rel == v.label)) &&
+      tupleOk(v)
 
   override def merge(a: JoinMsg, b: JoinMsg): JoinMsg = JoinMsg.merge(a, b)
 
@@ -120,10 +164,11 @@ final class AcyclicJoinProgram(
         case Some(Ids(senders)) =>
           val prev = full(schedIdx - 1)
           val ok =
-            if (v.isTuple) v.label == prev.rel && tupleOk(v)
+            // a tuple with marks has passed its filter already
+            if (v.isTuple) v.label == prev.rel && (st.marked.nonEmpty || tupleOk(v))
             else spec.attrFilter.get(prev.attrName).forall(_(v.value))
           if (ok) {
-            st = st.copy(marked = st.marked ++ senders.iterator.map(id => (id, prev.label)))
+            st = st.mark(prev.label, senders)
             validated = true
             if (spec.semiJoinOnly && schedIdx == lastIdx) st = finishUp(v, st)
           }
@@ -158,23 +203,20 @@ final class AcyclicJoinProgram(
       val cur = full(schedIdx)
       if (schedIdx < L) {
         // bottom-up reduction: message every matching edge (Alg. 2 lines 11-13)
-        edges.foreach(e => if (e.label == cur.label) ctx.send(e.dst, Ids(List(v.id))))
+        val m = Ids(List(v.id))
+        edges.foreach(e => if (e.label == cur.label) ctx.send(e.dst, m))
       } else if (schedIdx < 2 * L && !spec.semiJoinOnly) {
         // top-down reduction: only via marked edges (lines 15-18)
-        edges.foreach { e =>
-          if (e.label == cur.label && st.marked((e.dst, e.label)))
-            ctx.send(e.dst, Ids(List(v.id)))
-        }
+        val m = Ids(List(v.id))
+        st.marks(cur.label).foreach(ctx.send(_, m))
       } else {
         // collection: partial tables via marked edges (lines 37-40)
         val table: Table =
           if (schedIdx == 2 * L) Vector(projected(v)) // start leaf initiates
           else st.value
         if (table.nonEmpty) {
-          val m = Tables(Map(s"${v.label}" -> table))
-          edges.foreach { e =>
-            if (e.label == cur.label && st.marked((e.dst, e.label))) ctx.send(e.dst, m)
-          }
+          val m = Tables(Map(v.label -> table))
+          st.marks(cur.label).foreach(ctx.send(_, m))
         }
       }
       st

@@ -27,15 +27,14 @@ object AggCell {
   * aggregator vertex for GA/scalar aggregation (§7).
   */
 final case class Partials(groups: Map[Vector[Any], Vector[AggCell]]) extends Serializable {
+  /** Fold the smaller group map into the larger one, group by group, so
+    * merging a one-row partial into a running partial costs one map update.
+    */
   def merge(o: Partials): Partials = {
-    val m = scala.collection.mutable.Map.from(groups)
-    o.groups.foreach { case (k, cells) =>
-      m.updateWith(k) {
-        case Some(prev) => Some(prev.lazyZip(cells).map(_ merge _).toVector)
-        case None       => Some(cells)
-      }
-    }
-    Partials(m.toMap)
+    val (big, small) = if (groups.size >= o.groups.size) (groups, o.groups) else (o.groups, groups)
+    Partials(small.foldLeft(big) { case (m, (k, cells)) =>
+      m.updated(k, m.get(k).fold(cells)(_.lazyZip(cells).map(_ merge _)))
+    })
   }
 }
 
@@ -53,4 +52,9 @@ object Partials {
     }
     Partials(m.view.mapValues(_.toVector).toMap)
   }
+
+  /** [[ofRows]] of the single row `r`, built directly. */
+  def ofRow(r: Tup, groupBy: Seq[String], aggs: Seq[AggSpec]): Partials =
+    Partials(Map(groupBy.map(g => r.getOrElse(g, null)).toVector ->
+      aggs.map(a => AggCell.zero.add(a.expr(r))).toVector))
 }

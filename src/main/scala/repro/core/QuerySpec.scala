@@ -86,3 +86,10 @@ final case class QuerySpec(
       */
     postFilter: Option[Tup => Boolean] = None,
 ) extends Serializable
+
+/** A query shape the TAG-join executor cannot evaluate: a multi-attribute
+  * tree edge or a cyclic core that is not a simple cycle (both raised before
+  * any superstep runs), or a residual query that is still cyclic (raised
+  * after the cycle pass, whose bag columns the residual query is built from).
+  */
+final class UnsupportedQuery(message: String) extends IllegalArgumentException(message)

@@ -16,7 +16,7 @@ final case class QueryResult(rows: Vector[Tup], columns: Seq[String], stats: Vec
   */
 final class ScanProgram(rel: String, spec: QuerySpec) extends VertexProgram[JState, JoinMsg] {
   override val maxSteps: Int = 2
-  override def initialState(v: VertexInfo): JState = JState()
+  override def initialState(v: VertexInfo): JState = JState.Empty
   override def initiallyActive(v: VertexInfo, s: JState, edges: IndexedSeq[OutEdge]): Boolean =
     v.isTuple && v.label == rel && spec.tupleFilter.get(rel).forall(_(v.tuple))
   override def merge(a: JoinMsg, b: JoinMsg): JoinMsg = JoinMsg.merge(a, b)
@@ -26,7 +26,7 @@ final class ScanProgram(rel: String, spec: QuerySpec) extends VertexProgram[JSta
       spec.aggMode match {
         case AggMode.Global | AggMode.Scalar =>
           ctx.send(VertexProgram.AggregatorId,
-            JoinMsg.Agg(Partials.ofRows(Vector(v.tuple), spec.groupBy, spec.aggs)))
+            JoinMsg.Agg(Partials.ofRow(v.tuple, spec.groupBy, spec.aggs)))
           s
         case _ =>
           val keep = spec.carry.getOrElse(rel, Nil).toSet
@@ -141,7 +141,7 @@ final class TagJoinExecutor(
       case Right(tree) =>
         val r = runAcyclic(resEngine, tree, resSpec)
         r.copy(stats = cycStats ++ r.stats)
-      case Left(more) => sys.error(s"residual query still cyclic: $more")
+      case Left(more) => throw new UnsupportedQuery(s"residual query still cyclic: $more")
     }
   }
 
@@ -155,9 +155,9 @@ final class TagJoinExecutor(
         else Nil
       }
     core.foreach { r =>
-      require(neighbors(r).map(_._1).distinct.size == 2,
-        s"cyclic core is not a simple cycle at $r — general GHDs beyond single cycles " +
-          "are out of scope (see DESIGN.md)")
+      if (neighbors(r).map(_._1).distinct.size != 2)
+        throw new UnsupportedQuery(s"cyclic core is not a simple cycle at $r — general GHDs " +
+          "beyond single cycles are out of scope (see DESIGN.md)")
     }
     // walk the cycle
     val r1 = core.head

@@ -33,10 +33,9 @@ object TagPlan {
   def fromJoinTree(tree: JoinTree, rootAttr: Option[JoinAttr] = None): TagPlan = {
     def build(rel: String, fromAttr: Option[String]): RelNode = {
       val byAttr = tree.childrenOf(rel).groupBy(_.attr.name)
-      require(
-        tree.childrenOf(rel).map(_.child).distinct.size == tree.childrenOf(rel).size,
-        s"multi-attribute tree edge at $rel — executor supports single-attribute joins; " +
-          "use TwoWayJoin with TwoWaySpec.others or pre-combine the key")
+      if (tree.childrenOf(rel).map(_.child).distinct.size != tree.childrenOf(rel).size)
+        throw new UnsupportedQuery(s"multi-attribute tree edge at $rel — executor supports " +
+          "single-attribute joins; use TwoWayJoin with TwoWaySpec.others or pre-combine the key")
       val attrChildren = byAttr.collect {
         case (name, es) if !fromAttr.contains(name) =>
           AttrNode(es.head.attr, es.map(e => build(e.child, Some(name))).toVector)

@@ -3,6 +3,7 @@ package repro.workload
 import org.apache.spark.sql.SparkSession
 import repro.SynthData
 import repro.core._
+import repro.tag.Tup
 import repro.workload.Q._
 
 /** TPC-H-lite workload (DESIGN.md substitutions #2/#4): 10 queries covering
@@ -50,6 +51,14 @@ object TpchQueries {
     Map("customer" -> "c_nationkey", "supplier" -> "s_nationkey", "nation" -> "n_nationkey"))
   private val regionkey = JoinAttr("regionkey", Map("nation" -> "n_regionkey", "region" -> "r_regionkey"))
 
+  /** `lo <= c < hi` on the date column `c`. The literals are parsed here,
+    * once per query definition, not once per tuple.
+    */
+  private def dayIn(c: String, lo: String, hi: String): Tup => Boolean = {
+    val (from, until) = (D(lo), D(hi))
+    t => { val d = day(t, c); d >= from && d < until }
+  }
+
   private def revenue = AggSpec(AggFunc.Sum,
     t => dbl(t, "l_extendedprice") * (1 - dbl(t, "l_discount")), "revenue")
 
@@ -59,7 +68,7 @@ object TpchQueries {
     BenchQuery("q1", "global",
       QuerySpec(
         relations = Seq("lineitem"), joins = Nil,
-        tupleFilter = Map("lineitem" -> (t => day(t, "l_shipdate") <= D("1998-09-01"))),
+        tupleFilter = Map("lineitem" -> { val hi = D("1998-09-01"); t => day(t, "l_shipdate") <= hi }),
         groupBy = Seq("l_returnflag", "l_linestatus"),
         aggs = Seq(
           AggSpec(AggFunc.Sum, dbl(_, "l_quantity"), "sum_qty"),
@@ -83,10 +92,13 @@ object TpchQueries {
       QuerySpec(
         relations = Seq("customer", "orders", "lineitem"),
         joins = Seq(custkey, orderkey),
-        tupleFilter = Map(
-          "customer" -> (t => str(t, "c_mktsegment") == "BUILDING"),
-          "orders"   -> (t => day(t, "o_orderdate") < D("1995-03-15")),
-          "lineitem" -> (t => day(t, "l_shipdate") > D("1995-03-15"))),
+        tupleFilter = {
+          val d = D("1995-03-15")
+          Map(
+            "customer" -> (t => str(t, "c_mktsegment") == "BUILDING"),
+            "orders"   -> (t => day(t, "o_orderdate") < d),
+            "lineitem" -> (t => day(t, "l_shipdate") > d))
+        },
         carry = Map("orders" -> Seq("o_orderdate"), "lineitem" -> Seq("l_extendedprice", "l_discount")),
         groupBy = Seq("orderkey", "o_orderdate"),
         laAttr = Some("orderkey"),
@@ -107,7 +119,7 @@ object TpchQueries {
         relations = Seq("lineitem", "orders"),
         joins = Seq(orderkey),
         tupleFilter = Map(
-          "orders"   -> (t => day(t, "o_orderdate") >= D("1993-07-01") && day(t, "o_orderdate") < D("1993-10-01")),
+          "orders"   -> dayIn("o_orderdate", "1993-07-01", "1993-10-01"),
           "lineitem" -> (t => dbl(t, "l_quantity") > 45)),
         carry = Map("orders" -> Seq("o_orderstatus")),
         groupBy = Seq("o_orderstatus"),
@@ -130,7 +142,7 @@ object TpchQueries {
         joins = Seq(custkey, orderkey, suppkey, nationkey, regionkey,
           JoinAttr("n_name", Map("nation" -> "n_name"))),
         tupleFilter = Map(
-          "orders" -> (t => day(t, "o_orderdate") >= D("1994-01-01") && day(t, "o_orderdate") < D("1995-01-01")),
+          "orders" -> dayIn("o_orderdate", "1994-01-01", "1995-01-01"),
           "region" -> (t => str(t, "r_name") == "REGION_1")),
         carry = Map("lineitem" -> Seq("l_extendedprice", "l_discount"),
           "supplier" -> Seq("s_nationkey")),
@@ -151,8 +163,9 @@ object TpchQueries {
     BenchQuery("q6", "scalar",
       QuerySpec(
         relations = Seq("lineitem"), joins = Nil,
-        tupleFilter = Map("lineitem" -> { t =>
-          day(t, "l_shipdate") >= D("1994-01-01") && day(t, "l_shipdate") < D("1995-01-01") &&
+        tupleFilter = Map("lineitem" -> {
+          val shipped = dayIn("l_shipdate", "1994-01-01", "1995-01-01")
+          t => shipped(t) &&
             dbl(t, "l_discount") >= 0.05 && dbl(t, "l_discount") <= 0.07 && dbl(t, "l_quantity") < 24
         }),
         aggs = Seq(AggSpec(AggFunc.Sum, t => dbl(t, "l_extendedprice") * dbl(t, "l_discount"), "revenue")),
@@ -170,7 +183,7 @@ object TpchQueries {
         relations = Seq("customer", "orders", "lineitem"),
         joins = Seq(custkey, orderkey),
         tupleFilter = Map(
-          "orders"   -> (t => day(t, "o_orderdate") >= D("1993-10-01") && day(t, "o_orderdate") < D("1994-01-01")),
+          "orders"   -> dayIn("o_orderdate", "1993-10-01", "1994-01-01"),
           "lineitem" -> (t => str(t, "l_returnflag") == "R")),
         carry = Map("customer" -> Seq("c_acctbal"), "lineitem" -> Seq("l_extendedprice", "l_discount")),
         groupBy = Seq("custkey", "c_acctbal"),
@@ -193,7 +206,7 @@ object TpchQueries {
         relations = Seq("orders", "lineitem"),
         joins = Seq(orderkey, JoinAttr("l_shipmode", Map("lineitem" -> "l_shipmode"))),
         tupleFilter = Map(
-          "lineitem" -> (t => day(t, "l_shipdate") >= D("1994-01-01") && day(t, "l_shipdate") < D("1995-01-01"))),
+          "lineitem" -> dayIn("l_shipdate", "1994-01-01", "1995-01-01")),
         attrFilter = Map("l_shipmode" -> (v => v == "MAIL" || v == "SHIP")),
         carry = Map("orders" -> Seq("o_totalprice")),
         groupBy = Seq("l_shipmode"),
@@ -218,7 +231,7 @@ object TpchQueries {
         relations = Seq("lineitem", "part"),
         joins = Seq(partkey),
         tupleFilter = Map(
-          "lineitem" -> (t => day(t, "l_shipdate") >= D("1995-09-01") && day(t, "l_shipdate") < D("1995-10-01"))),
+          "lineitem" -> dayIn("l_shipdate", "1995-09-01", "1995-10-01")),
         carry = Map("lineitem" -> Seq("l_extendedprice", "l_discount"), "part" -> Seq("p_type")),
         aggs = Seq(
           AggSpec(AggFunc.Sum,

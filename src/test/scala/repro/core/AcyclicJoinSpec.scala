@@ -1,7 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.tag.Tup
+import repro.bsp.LocalBspEngine
+import repro.tag.{TagGraphBuilder, Tup}
 
 /** Algorithm 2 (acyclic TAG-join) against brute-force references: chains,
   * stars, snowflakes, dangling-tuple elimination, filters, aggregation modes,
@@ -190,6 +191,42 @@ class AcyclicJoinSpec extends AnyFunSuite {
     val out = executor(L, P).execute(spec)
     // group k=1: avg=7, thr=3.5 → keeps q=1 only; k=2: avg=5, thr=2.5 → none
     assert(out.rows == Vector(Map("s" -> 1.0)))
+  }
+
+  test("Algorithm 2 sends exactly the hand-counted messages per superstep") {
+    // Chain R -A- S -B- T. GYO roots it at T, so GenSteps schedules
+    // UP = R.a, S.a, S.b, T.b (start leaf R), then DOWN and COLLECT.
+    // Vertex ids: r0 r1 = 0 1, s0 s1 s2 = 2 3 4, t0 t1 = 5 6, then the values
+    // 1 2 3 4 5 = 7 8 9 10 11. Value 2 (vertex 8) is an A value and a B value,
+    // so it is marked under R.a {r1}, S.b {s0} and T.b {t0}.
+    val R3 = rel("R", Seq("a", "r"), Seq("a"), Seq(Seq(1, "r0"), Seq(2, "r1")))
+    val S3 = rel("S", Seq("a", "b", "s"), Seq("a", "b"),
+      Seq(Seq(1, 2, "s0"), Seq(2, 3, "s1"), Seq(4, 2, "s2"))) // s2 dangles on A
+    val T3 = rel("T", Seq("b", "t"), Seq("b"), Seq(Seq(2, "t0"), Seq(5, "t1"))) // t1 dangles
+    val spec = QuerySpec(Seq("R", "S", "T"),
+      Seq(ja("A", "R" -> "a", "S" -> "a"), ja("B", "S" -> "b", "T" -> "b")),
+      carry = Map("R" -> Seq("r"), "S" -> Seq("s"), "T" -> Seq("t")))
+    val expected = Vector[Long](
+      2, // UP R.a: r0 → 7, r1 → 8
+      2, // UP S.a: 7 → s0, 8 → s1
+      2, // UP S.b: s0 → 8, s1 → 9
+      1, // UP T.b: 8 → t0 (9 has no T.b edge)
+      1, // DOWN T.b: t0 → 8
+      1, // DOWN S.b: 8 → s0 only; s2 shares the edge label but is not marked
+      1, // DOWN S.a: s0 → 7
+      1, // DOWN R.a: 7 → r0
+      1, // COLLECT R.a: r0 → 7
+      1, // COLLECT S.a: 7 → s0
+      1, // COLLECT S.b: s0 → 8
+      1, // COLLECT T.b: 8 → t0 (marked under T.b only, not under R.a)
+      0) // t0 emits the row
+    for (threads <- Seq(1, 4)) {
+      val ex = new TagJoinExecutor(Seq(R3, S3, T3),
+        rs => new LocalBspEngine(TagGraphBuilder.local(rs), threads))
+      val out = ex.execute(spec)
+      assert(out.stats.map(_.messagesPerStep) == Vector(expected), s"threads=$threads")
+      assert(out.rows == Vector(Map("r" -> "r0", "s" -> "s0", "t" -> "t0")), s"threads=$threads")
+    }
   }
 
   test("randomized acyclic chains match brute force") {

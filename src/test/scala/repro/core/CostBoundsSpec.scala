@@ -89,7 +89,7 @@ class CostBoundsSpec extends AnyFunSuite {
   test("executor rejects a multi-attribute tree edge with guidance") {
     val r = rel("R", Seq("a", "b"), Seq("a", "b"), Seq(Seq[Any](1, 2)))
     val s = rel("S", Seq("a", "b"), Seq("a", "b"), Seq(Seq[Any](1, 2)))
-    val ex = intercept[IllegalArgumentException] {
+    val ex = intercept[UnsupportedQuery] {
       executor(r, s).execute(QuerySpec(Seq("R", "S"),
         Seq(ja("a", "R" -> "a", "S" -> "a"), ja("b", "R" -> "b", "S" -> "b"))))
     }
@@ -104,9 +104,10 @@ class CostBoundsSpec extends AnyFunSuite {
       ja("1", "R" -> "x", "S" -> "x"), ja("2", "S" -> "y", "T" -> "x"),
       ja("3", "T" -> "y", "R" -> "y"), ja("4", "R" -> "x", "U" -> "x"),
       ja("5", "U" -> "y", "V" -> "x"), ja("6", "V" -> "y", "R" -> "y"))
-    intercept[Exception] {
+    val ex = intercept[UnsupportedQuery] {
       executor(rels: _*).execute(QuerySpec(rels.map(_.name), joins))
     }
+    assert(ex.getMessage.contains("not a simple cycle"))
   }
 
   test("q17-style correlated pre-phase adds exactly two supersteps") {

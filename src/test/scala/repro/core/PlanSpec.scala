@@ -134,7 +134,7 @@ class TagPlanSpec extends AnyFunSuite {
   test("plan rejects a multi-attribute tree edge") {
     val joins = Seq(ja("a", "R" -> "a", "S" -> "a"), ja("b", "R" -> "b", "S" -> "b"))
     val Right(t0) = JoinTree.gyo(Seq("R", "S"), joins)
-    intercept[IllegalArgumentException](TagPlan.fromJoinTree(t0))
+    intercept[UnsupportedQuery](TagPlan.fromJoinTree(t0))
   }
 
   test("steps of a two-relation plan: leaf label then root label") {

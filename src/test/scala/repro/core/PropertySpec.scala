@@ -218,6 +218,34 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  // Partials laws: integer-valued doubles keep every sum exact, so == holds
+  private val aggRows: Gen[Vector[Map[String, Any]]] =
+    Gen.listOf(Gen.zip(Gen.oneOf("g", "h"), Gen.oneOf("x", "y"), Gen.chooseNum(-9, 9)))
+      .map(_.map { case (g, k, v) => Map[String, Any]("g" -> g, "k" -> k, "v" -> v.toDouble) }.toVector)
+  private val byGk = Seq("g", "k")
+  private val allFuncs = Seq(AggFunc.Sum, AggFunc.Count, AggFunc.Min, AggFunc.Max)
+    .map(f => AggSpec(f, _("v").asInstanceOf[Double], f.toString))
+
+  test("property: Partials.empty is an identity for merge") {
+    check(Prop.forAll(partials)(p => p.merge(Partials.empty) == p && Partials.empty.merge(p) == p))
+  }
+
+  test("property: Partials merge is associative") {
+    check(Prop.forAll(partials, partials, partials)((a, b, c) =>
+      a.merge(b).merge(c) == a.merge(b.merge(c))))
+  }
+
+  test("property: Partials.ofRows of a concatenation is the merge of the parts") {
+    check(Prop.forAll(aggRows, aggRows)((x, y) =>
+      Partials.ofRows(x ++ y, byGk, allFuncs) ==
+        Partials.ofRows(x, byGk, allFuncs).merge(Partials.ofRows(y, byGk, allFuncs))))
+  }
+
+  test("property: Partials.ofRow equals ofRows of the one row") {
+    check(Prop.forAll(aggRows)(rows => rows.forall(r =>
+      Partials.ofRow(r, byGk, allFuncs) == Partials.ofRows(Vector(r), byGk, allFuncs))))
+  }
+
   test("property: Partials merge is order-insensitive") {
     val rows = Gen.listOf(Gen.zip(Gen.oneOf("a", "b"), Gen.chooseNum(0.0, 9.0)))
       .map(_.map { case (g, v) => Map[String, Any]("g" -> g, "v" -> v) }.toVector)
