@@ -235,16 +235,8 @@ final class AcyclicJoinProgram(
         // Group-key attribute vertex aggregates its own group (§7 LA).
         val laName = spec.laAttr.get
         val others = spec.groupBy.filterNot(_ == laName)
-        val out = s.value.groupBy(r => others.map(r.getOrElse(_, null))).map {
-          case (key, rows) =>
-            val cells = Partials.ofRows(rows, Nil, spec.aggs).groups
-              .getOrElse(Vector(), Vector.fill(spec.aggs.size)(AggCell.zero))
-            val base: Tup = Map(laName -> v.value) ++ others.zip(key).toMap
-            base ++ spec.aggs.zip(cells).map { case (a, c) =>
-              a.alias -> (a.finish(c.result(a.func)): Any)
-            }
-        }.toVector
-        s.copy(output = out)
+        s.copy(output = Partials.ofRows(s.value, others, spec.aggs).rows(others, spec.aggs)
+          .map(_ + (laName -> v.value)))
       case AggMode.Global | AggMode.Scalar => s // partials sent from compute
     }
   }

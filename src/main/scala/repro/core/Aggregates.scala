@@ -36,6 +36,14 @@ final case class Partials(groups: Map[Vector[Any], Vector[AggCell]]) extends Ser
       m.updated(k, m.get(k).fold(cells)(_.lazyZip(cells).map(_ merge _)))
     })
   }
+
+  /** One output row per group: the `groupBy` columns, then each aggregate's
+    * finished value under its alias.
+    */
+  def rows(groupBy: Seq[String], aggs: Seq[AggSpec]): Vector[Tup] =
+    groups.iterator.map { case (key, cells) =>
+      groupBy.zip(key).toMap ++ aggs.lazyZip(cells).map((a, c) => a.alias -> (a.finish(c.result(a.func)): Any))
+    }.toVector
 }
 
 object Partials {

@@ -87,9 +87,11 @@ final case class QuerySpec(
     postFilter: Option[Tup => Boolean] = None,
 ) extends Serializable
 
-/** A query shape the TAG-join executor cannot evaluate: a multi-attribute
-  * tree edge or a cyclic core that is not a simple cycle (both raised before
-  * any superstep runs), or a residual query that is still cyclic (raised
-  * after the cycle pass, whose bag columns the residual query is built from).
+/** A query shape the TAG-join executor cannot evaluate, raised while the
+  * query is planned and so before any superstep runs: a disconnected join
+  * graph, a cyclic core that is not a simple cycle, a residual query (the
+  * cycle's bag joined with the other relations) that is still cyclic, a
+  * multi-attribute tree edge, or a correlated filter whose relation's rows
+  * would reach the output without passing the filter's attribute.
   */
 final class UnsupportedQuery(message: String) extends IllegalArgumentException(message)

@@ -4,6 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.bsp._
 import repro.tag._
 
+import scala.annotation.tailrec
+
 /** Result of a TAG-join query: output rows (driver-collected; the engines
   * leave results distributed, this gathers them), the output column order,
   * and the BSP stats of every pass that ran.
@@ -42,6 +44,10 @@ final class ScanProgram(rel: String, spec: QuerySpec) extends VertexProgram[JSta
   * joined acyclically with the residual relations (the GYM-style two-stage
   * plan of §6.4).
   *
+  * Each query is planned from its [[QuerySpec]] alone before any engine
+  * runs (§5.2.1: the plan and its supersteps depend only on the query), so
+  * every [[UnsupportedQuery]] is raised before the first superstep.
+  *
   * @param engineOf builds a BSP engine for a set of TAG relations; called
   *                 once for the base database and once per intermediate
   *                 (bag) result.
@@ -50,29 +56,75 @@ final class TagJoinExecutor(
     relations: Seq[TagRelation],
     engineOf: Seq[TagRelation] => BspEngine,
 ) {
+  import TagJoinExecutor._
+
   private val relByName = relations.map(r => r.name -> r).toMap
   /** The query-independent base engine over the full TAG graph. */
   lazy val baseEngine: BspEngine = engineOf(relations)
 
-  def execute(spec: QuerySpec, cycleTheta: Option[Double] = None): QueryResult = {
-    if (spec.relations.size == 1 && spec.joins.isEmpty) return scan(spec)
-    JoinTree.gyo(spec.relations, spec.joins) match {
-      case Right(tree) => runAcyclic(baseEngine, tree, spec)
-      case Left(core)  => runCyclicThenResidual(spec, core, cycleTheta)
+  /** Plan `spec`, raising any [[UnsupportedQuery]], then run the plan. */
+  def execute(spec: QuerySpec): QueryResult =
+    if (spec.relations.size == 1 && spec.joins.isEmpty)
+      assemble(spec, baseEngine.run(new ScanProgram(spec.relations.head, spec)))
+    else joinTree(spec) match {
+      case Right(tree) => runAcyclic(baseEngine, planAcyclic(spec, tree))
+      case Left(core)  => runCyclic(spec, orderCycle(spec, core), planResidual(spec, core))
+    }
+
+  private def runAcyclic(engine: BspEngine, program: AcyclicJoinProgram): QueryResult =
+    assemble(program.spec, engine.run(program))
+
+  private def runCyclic(spec: QuerySpec, cycle: CycleSpec, residual: Option[AcyclicJoinProgram]): QueryResult = {
+    val (bagRows, cycStats) = CycleJoin.run(baseEngine, cycle)
+    residual match {
+      case None => // pure cycle query: aggregate / project the bag rows directly
+        val rows =
+          if (spec.aggMode == AggMode.NoAgg) bagRows
+          else aggregateRows(spec, Partials.ofRows(bagRows, spec.groupBy, spec.aggs))
+        QueryResult(rows, outputColumns(spec), cycStats)
+      case Some(program) =>
+        val bag = TagRelation(Bag,
+          bagRows.zipWithIndex.map { case (r, i) => r + (ridCol(Bag) -> (i.toLong: Any)) },
+          program.spec.joins.flatMap(_.cols.get(Bag)).distinct)
+        val engine = engineOf(program.spec.relations.map(r => if (r == Bag) bag else relByName(r)))
+        val r = runAcyclic(engine, program)
+        r.copy(stats = cycStats ++ r.stats)
     }
   }
 
-  // ------------------------------------------------------------------- scan
+  private def assemble(spec: QuerySpec, run: BspRun[JState, JoinMsg]): QueryResult = {
+    val rows = spec.aggMode match {
+      case AggMode.Global | AggMode.Scalar =>
+        aggregateRows(spec, run.aggregate.collect { case JoinMsg.Agg(p) => p }.getOrElse(Partials.empty))
+      case _ => run.mapStates((_, s) => s.output)
+    }
+    QueryResult(rows, outputColumns(spec), Vector(run.stats))
+  }
+}
 
-  private def scan(spec: QuerySpec): QueryResult = {
-    val rel = spec.relations.head
-    val run = baseEngine.run(new ScanProgram(rel, spec))
-    assemble(spec, run)
+object TagJoinExecutor {
+
+  /** Name of the TAG relation that holds a cycle pass's output (§6.4). */
+  private val Bag = "cycbag"
+
+  // --------------------------------------------------------------- planning
+
+  /** GYO over the query's join graph: `Left` holds the cyclic core. A
+    * disconnected graph, which GYO cannot reduce either, is rejected.
+    */
+  private def joinTree(spec: QuerySpec): Either[Seq[String], JoinTree] = {
+    @tailrec def reach(seen: Set[String]): Set[String] = {
+      val more = seen ++ spec.joins.filter(_.rels.exists(seen)).flatMap(_.rels)
+      if (more == seen) seen else reach(more)
+    }
+    val apart = spec.relations.filterNot(reach(spec.relations.take(1).toSet))
+    if (apart.nonEmpty)
+      throw new UnsupportedQuery(s"join graph is disconnected: ${apart.mkString(", ")} share no " +
+        s"join attribute with ${spec.relations.head} — Cartesian products (§6.3) are not planned")
+    JoinTree.gyo(spec.relations, spec.joins)
   }
 
-  // ---------------------------------------------------------------- acyclic
-
-  private def runAcyclic(engine: BspEngine, tree0: JoinTree, spec: QuerySpec): QueryResult = {
+  private def planAcyclic(spec: QuerySpec, tree0: JoinTree): AcyclicJoinProgram = {
     val joinByName = spec.joins.map(j => j.name -> j).toMap
     // Root selection: LA roots at a relation containing the group attribute;
     // otherwise honor rootRel; otherwise GYO's root.
@@ -85,148 +137,92 @@ final class TagJoinExecutor(
       case _               => tree0
     }
     val plan = TagPlan.fromJoinTree(tree, spec.laAttr.map(joinByName))
-    val run = engine.run(new AcyclicJoinProgram(plan, spec))
-    assemble(spec, run)
+    spec.correlated.foreach { c =>
+      if (!filtered(plan.root, c, below = false))
+        throw new UnsupportedQuery(s"correlated filter on ${c.rel} never applies: its rows reach " +
+          s"the root ${tree.root} without passing attribute ${c.attrName} — root the query on " +
+          s"the other side of ${c.attrName}")
+    }
+    new AcyclicJoinProgram(plan, spec)
   }
 
-  // ----------------------------------------------------------------- cyclic
+  /** Whether `c.rel`'s rows pass an attribute node of `c.attrName`, where the
+    * correlated filter runs, on their way up to the plan root.
+    */
+  private def filtered(node: PlanNode, c: CorrelatedAvg, below: Boolean): Boolean = node match {
+    case RelNode(r, kids)  => (r == c.rel && below) || kids.exists(filtered(_, c, below))
+    case AttrNode(a, kids) => kids.exists(filtered(_, c, below || a.name == c.attrName))
+  }
 
-  private def runCyclicThenResidual(
-      spec: QuerySpec, core: Seq[String], theta: Option[Double]): QueryResult = {
-    val cycleSpec = orderCycle(spec, core, theta)
-    val (bagRows0, cycStats) = CycleJoin.run(baseEngine, cycleSpec)
-    val bagName = "cycbag"
-    val bagRows = bagRows0.zipWithIndex.map { case (r, i) => r + (ridCol(bagName) -> (i.toLong: Any)) }
+  /** Order the cyclic core into R1..Rn / X1..Xn (§6.2's binary-cycle shape):
+    * R1 is the first core relation, R2 its first neighbour, and X1 closes
+    * the cycle from Rn back to R1.
+    */
+  private[core] def orderCycle(spec: QuerySpec, core: Seq[String]): CycleSpec = {
+    def links(r: String): Seq[(String, JoinAttr)] =
+      for (j <- spec.joins if j.cols.contains(r); o <- j.cols.keys.toSeq if o != r && core.contains(o))
+        yield (o, j)
+    def notSimple(r: String) = new UnsupportedQuery(s"cyclic core is not a simple cycle at $r — " +
+      "general GHDs beyond single cycles are out of scope (see DESIGN.md)")
+    core.find(links(_).size != 2).foreach(r => throw notSimple(r))
+    // each hop (R_i, (R_i+1, X_i+1)) leaves R_i+1 by the link it did not arrive on
+    val r1 = core.head
+    val hops = Iterator.iterate((r1, links(r1).head)) { case (from, (to, x)) =>
+      (to, links(to).find(_ != ((from, x))).get)
+    }.take(core.size).toVector
+    val rels = hops.map(_._1)
+    if (rels.distinct.size != core.size) throw notSimple(r1)
+    val xs = hops.map(_._2._2) // X2..Xn, then X1
+    CycleSpec(rels, xs.last +: xs.init,
+      tupleFilter = spec.tupleFilter.view.filterKeys(rels.contains).toMap,
+      carry = spec.carry.view.filterKeys(rels.contains).toMap)
+  }
 
+  /** §6.4 step 2: the residual relations joined acyclically with the cycle's
+    * bag, or `None` when the core is the whole query. The cycle pass outputs
+    * exactly the core relations' carried columns, so those are the bag's
+    * columns, and join attributes touching the core are remapped to the bag
+    * through them.
+    */
+  private def planResidual(spec: QuerySpec, core: Seq[String]): Option[AcyclicJoinProgram] = {
     val residualRels = spec.relations.filterNot(core.contains)
     if (residualRels.isEmpty) {
-      // pure cycle query: aggregate / project the bag rows directly
-      val cols = spec.groupBy ++ spec.aggs.map(_.alias)
-      val result = spec.aggMode match {
-        case AggMode.NoAgg => QueryResult(
-          bagRows.map(_.filterNot { case (k, _) => isRidCol(k) }), outputColumns(spec), cycStats)
-        case _ =>
-          val p = Partials.ofRows(bagRows, spec.groupBy, spec.aggs)
-          QueryResult(partialRows(spec, Some(p)), cols, cycStats)
-      }
-      return result
+      spec.correlated.foreach(c => throw new UnsupportedQuery(
+        s"correlated filter on ${c.rel} never applies: a pure cycle query has no attribute node to run it"))
+      return None
     }
-
-    // Residual acyclic join over {bag} ∪ residual relations on a fresh TAG
-    // subgraph (§6.4 step 2). Join attributes touching the core are remapped
-    // to the bag via the carried core columns.
-    val coreCols = bagRows.headOption.map(_.keySet).getOrElse(Set.empty)
+    val bagCols = core.flatMap(spec.carry.getOrElse(_, Nil)).distinct
     val residualJoins = spec.joins.flatMap { j =>
       val outside = j.cols.view.filterKeys(residualRels.contains).toMap
-      if (outside.isEmpty) None
-      else {
-        val coreSide = j.cols.collectFirst { case (r, c) if core.contains(r) && coreCols(c) => c }
-        Some(JoinAttr(j.name, outside ++ coreSide.map(bagName -> _)))
-      }
+      val coreSide = j.cols.collectFirst { case (r, c) if core.contains(r) && bagCols.contains(c) => c }
+      if (outside.isEmpty) None else Some(JoinAttr(j.name, outside ++ coreSide.map(Bag -> _)))
     }
-    val bagAttrCols = residualJoins.flatMap(_.cols.get(bagName)).distinct
-    val bagRel = TagRelation(bagName, bagRows, bagAttrCols)
-    val resRels = bagRel +: residualRels.map(relByName)
-    val resEngine = engineOf(resRels)
-
     val resSpec = spec.copy(
-      relations = bagName +: residualRels,
+      relations = Bag +: residualRels,
       joins = residualJoins,
       tupleFilter = spec.tupleFilter.view.filterKeys(residualRels.contains).toMap,
-      carry = spec.carry.view.filterKeys(residualRels.contains).toMap +
-        (bagName -> (coreCols - ridCol(bagName)).toSeq),
-      rootRel = spec.rootRel.filter(r => residualRels.contains(r) || r == bagName),
+      carry = spec.carry.view.filterKeys(residualRels.contains).toMap + (Bag -> bagCols),
+      rootRel = spec.rootRel.filter(r => residualRels.contains(r) || r == Bag),
     )
-    JoinTree.gyo(resSpec.relations, resSpec.joins) match {
-      case Right(tree) =>
-        val r = runAcyclic(resEngine, tree, resSpec)
-        r.copy(stats = cycStats ++ r.stats)
-      case Left(more) => throw new UnsupportedQuery(s"residual query still cyclic: $more")
+    joinTree(resSpec) match {
+      case Right(tree) => Some(planAcyclic(resSpec, tree))
+      case Left(more)  => throw new UnsupportedQuery(s"residual query still cyclic: $more")
     }
-  }
-
-  /** Order the cyclic core into R1..Rn / X1..Xn (§6.2's binary-cycle shape). */
-  private def orderCycle(spec: QuerySpec, core: Seq[String], theta: Option[Double]): CycleSpec = {
-    val coreSet = core.toSet
-    val coreJoins = spec.joins.filter(j => j.cols.keysIterator.count(coreSet) >= 2)
-    def neighbors(r: String): Seq[(String, JoinAttr)] =
-      coreJoins.flatMap { j =>
-        if (j.cols.contains(r)) j.cols.keysIterator.filter(o => o != r && coreSet(o)).map(o => (o, j))
-        else Nil
-      }
-    core.foreach { r =>
-      if (neighbors(r).map(_._1).distinct.size != 2)
-        throw new UnsupportedQuery(s"cyclic core is not a simple cycle at $r — general GHDs " +
-          "beyond single cycles are out of scope (see DESIGN.md)")
-    }
-    // walk the cycle
-    val r1 = core.head
-    val order = Vector.newBuilder[String]
-    val xs = Vector.newBuilder[JoinAttr]
-    var prev = r1
-    var (cur, firstAttr) = neighbors(r1).head
-    // X1 is the attribute between Rn and R1; we walk R1 -> R2 ... collecting
-    // X2..Xn then close with X1.
-    order += r1
-    var linkAttr = firstAttr // attr between prev and cur = X_{i+1}
-    val attrsInOrder = Vector.newBuilder[JoinAttr]
-    attrsInOrder += firstAttr // X2
-    while (cur != r1) {
-      order += cur
-      val nxt = neighbors(cur).filter { case (o, a) => !(o == prev && a == linkAttr) }.head
-      prev = cur
-      linkAttr = nxt._2
-      attrsInOrder += nxt._2
-      cur = nxt._1
-    }
-    val rels = order.result()
-    val collected = attrsInOrder.result() // X2..Xn, X1 (closing attr) in walk order
-    val x1 = collected.last
-    val attrs = x1 +: collected.dropRight(1)
-    CycleSpec(rels, attrs,
-      tupleFilter = spec.tupleFilter.view.filterKeys(rels.contains).toMap,
-      carry = spec.carry.view.filterKeys(rels.contains).toMap,
-      theta = theta)
   }
 
   // --------------------------------------------------------------- assembly
 
-  private def outputColumns(spec: QuerySpec): Seq[String] = spec.aggMode match {
-    case AggMode.NoAgg                   => spec.carry.values.flatten.toSeq.distinct
-    case AggMode.Local                   => spec.groupBy ++ spec.aggs.map(_.alias)
-    case AggMode.Global | AggMode.Scalar => spec.groupBy ++ spec.aggs.map(_.alias)
-  }
+  private def outputColumns(spec: QuerySpec): Seq[String] =
+    if (spec.aggMode == AggMode.NoAgg) spec.carry.values.flatten.toSeq.distinct
+    else spec.groupBy ++ spec.aggs.map(_.alias)
 
-  private def partialRows(spec: QuerySpec, agg: Option[Partials]): Vector[Tup] = {
-    val groups = agg.map(_.groups).getOrElse(Map.empty)
-    if (groups.isEmpty && spec.aggMode == AggMode.Scalar)
+  private def aggregateRows(spec: QuerySpec, p: Partials): Vector[Tup] =
+    if (p.groups.isEmpty && spec.aggMode == AggMode.Scalar)
       // SQL scalar aggregation over an empty input still yields one row:
       // COUNT is 0, the other aggregates are NULL
       Vector(spec.aggs.map(a =>
         a.alias -> (if (a.func == AggFunc.Count) (0.0: Any) else (null: Any))).toMap)
-    else
-      groups.iterator.map { case (key, cells) =>
-        val base: Tup = spec.groupBy.zip(key).toMap
-        base ++ spec.aggs.zip(cells).map { case (a, c) =>
-          a.alias -> (a.finish(c.result(a.func)): Any)
-        }
-      }.toVector
-  }
-
-  private def assemble(spec: QuerySpec, run: BspRun[JState, JoinMsg]): QueryResult = {
-    val stats = Vector(run.stats)
-    spec.aggMode match {
-      case AggMode.Global | AggMode.Scalar =>
-        val p = run.aggregate.collect { case JoinMsg.Agg(p) => p }
-        QueryResult(partialRows(spec, p), outputColumns(spec), stats)
-      case _ =>
-        val rows = run.mapStates((_, s) => s.output)
-        QueryResult(rows, outputColumns(spec), stats)
-    }
-  }
-}
-
-object TagJoinExecutor {
+    else p.rows(spec.groupBy, spec.aggs)
 
   /** Local shared-memory executor over DataFrame inputs (single-server mode). */
   def local(rels: Seq[(String, DataFrame, Seq[String])]): TagJoinExecutor = {

@@ -43,7 +43,6 @@ object TagPlan {
       // edges on the attr we came from hang off that (existing, upper) node:
       // handled by the parent call below.
       val upAttrExtra = byAttr.get(fromAttr.getOrElse("")).map(_.toVector).getOrElse(Vector.empty)
-      require(upAttrExtra.isEmpty || fromAttr.isDefined, "unreachable")
       RelNode(rel, attrChildren ++ upAttrExtra.map(e => AttrNode(e.attr, Vector(build(e.child, Some(e.attr.name))))))
     }
     // NB: a child edge on the same attribute we arrived from is legal in a
@@ -73,9 +72,6 @@ object TagPlan {
     def stepOf(rel: String, a: JoinAttr): TraversalStep =
       TraversalStep(label(rel, a), rel, a.col(rel), a.name)
 
-    def onRightmostPath(node: PlanNode, ancestorsRightmost: Boolean, isLastChild: Boolean): Boolean =
-      ancestorsRightmost && isLastChild
-
     var startRel: String = null
 
     def dfs(node: PlanNode, inStep: Option[TraversalStep], rightmost: Boolean): Unit = {
@@ -87,7 +83,7 @@ object TagPlan {
           case (a: AttrNode, r: RelNode) => stepOf(r.rel, a.attr)
           case _                         => sys.error("plan must alternate rel/attr nodes")
         }
-        dfs(child, Some(step), onRightmostPath(child, rightmost, i == kids.size - 1))
+        dfs(child, Some(step), rightmost && i == kids.size - 1)
       }
       if (kids.isEmpty && rightmost) {
         startRel = node match {

@@ -22,8 +22,6 @@ final class LocalTagGraph(
     val labelNames: Array[String],       // edge label id → "R.A"
 ) extends Serializable {
 
-  val labelIds: Map[String, Int] = labelNames.zipWithIndex.toMap
-
   def numEdges: Int = edgeDst.length
 
   def info(v: Int): VertexInfo =
@@ -36,18 +34,6 @@ final class LocalTagGraph(
     private val off = edgeOffsets(v)
     val length: Int = edgeOffsets(v + 1) - off
     def apply(i: Int): OutEdge = OutEdge(edgeDst(off + i).toLong, labelNames(edgeLabelId(off + i)))
-  }
-
-  /** Number of out-edges of `v` with the given label — the degree an
-    * attribute vertex reads locally for the §6 heavy/light test.
-    */
-  def degreeByLabel(v: Int, label: String): Int = labelIds.get(label) match {
-    case None => 0
-    case Some(lid) =>
-      var c = 0
-      var i = edgeOffsets(v)
-      while (i < edgeOffsets(v + 1)) { if (edgeLabelId(i) == lid) c += 1; i += 1 }
-      c
   }
 
   /** Vertex ids of attribute vertices, keyed by normalized value. */

@@ -16,7 +16,6 @@ final case class BenchQuery(
     category: String, // "noagg" | "local" | "global" | "scalar" | "corr" | "cycle"
     spec: QuerySpec,
     sql: String,
-    cycleTheta: Option[Double] = None,
     blocks: Seq[QuerySpec] = Nil,
 )
 
@@ -39,7 +38,7 @@ object Workload {
 
   /** Execute a bench query on a TAG-join executor (handles union blocks). */
   def runTag(ex: TagJoinExecutor, q: BenchQuery): QueryResult = {
-    if (q.blocks.isEmpty) ex.execute(q.spec, q.cycleTheta)
+    if (q.blocks.isEmpty) ex.execute(q.spec)
     else {
       val results = q.blocks.map(b => ex.execute(b))
       // union + re-aggregate (sum) by the outer group-by

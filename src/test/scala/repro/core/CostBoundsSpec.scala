@@ -1,6 +1,10 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bsp.{BspEngine, BspRun, LocalBspEngine, VertexProgram}
+import repro.tag.{TagGraphBuilder, TagRelation}
+
+import scala.reflect.ClassTag
 
 /** Empirical checks of the paper's communication/computation cost claims:
   * §4.1.2 (two-way join bounds), §4.1 (factorized vs unfactorized size),
@@ -86,14 +90,39 @@ class CostBoundsSpec extends AnyFunSuite {
     assert(msgs(filtered = true) < msgs(filtered = false))
   }
 
+  /** Executes `spec` over `rels`, expects an [[UnsupportedQuery]] whose
+    * message contains `message`, and checks that no engine run started.
+    */
+  private def rejectedBeforeAnyRun(rels: Seq[TagRelation], spec: QuerySpec, message: String): Unit = {
+    var runs = 0
+    val ex = new TagJoinExecutor(rels, rs => new BspEngine {
+      private val inner = new LocalBspEngine(TagGraphBuilder.local(rs))
+      override def run[S, M](p: VertexProgram[S, M])(implicit
+          st: ClassTag[S], mt: ClassTag[M]): BspRun[S, M] = { runs += 1; inner.run(p) }
+    })
+    val e = intercept[UnsupportedQuery](ex.execute(spec))
+    assert(e.getMessage.contains(message))
+    assert(runs == 0)
+  }
+
+  /** A triangle R -A- S -B- T -C- R whose relations also hold columns x, y, z, w. */
+  private val triangle = Seq(
+    rel("R", Seq("a", "b", "x", "y", "z", "w"), Seq("a", "b", "x", "y", "z", "w"), Seq(Seq[Any](1, 1, 1, 1, 1, 1))),
+    rel("S", Seq("b", "c"), Seq("b", "c"), Seq(Seq[Any](1, 1))),
+    rel("T", Seq("c", "a"), Seq("c", "a"), Seq(Seq[Any](1, 1))))
+  private val triangleJoins = Seq(ja("A", "T" -> "a", "R" -> "a"), ja("B", "R" -> "b", "S" -> "b"),
+    ja("C", "S" -> "c", "T" -> "c"))
+
   test("executor rejects a multi-attribute tree edge with guidance") {
     val r = rel("R", Seq("a", "b"), Seq("a", "b"), Seq(Seq[Any](1, 2)))
     val s = rel("S", Seq("a", "b"), Seq("a", "b"), Seq(Seq[Any](1, 2)))
-    val ex = intercept[UnsupportedQuery] {
-      executor(r, s).execute(QuerySpec(Seq("R", "S"),
-        Seq(ja("a", "R" -> "a", "S" -> "a"), ja("b", "R" -> "b", "S" -> "b"))))
-    }
-    assert(ex.getMessage.contains("multi-attribute"))
+    rejectedBeforeAnyRun(Seq(r, s), QuerySpec(Seq("R", "S"),
+      Seq(ja("a", "R" -> "a", "S" -> "a"), ja("b", "R" -> "b", "S" -> "b"))), "multi-attribute")
+    // U joins the triangle's bag on two attributes: rejected before the cycle pass
+    val u = rel("U", Seq("x", "y"), Seq("x", "y"), Seq(Seq[Any](1, 1)))
+    rejectedBeforeAnyRun(triangle :+ u, QuerySpec(Seq("R", "S", "T", "U"),
+      triangleJoins ++ Seq(ja("X", "R" -> "x", "U" -> "x"), ja("Y", "R" -> "y", "U" -> "y")),
+      carry = Map("R" -> Seq("x", "y"))), "multi-attribute")
   }
 
   test("cycle executor rejects non-simple cyclic cores") {
@@ -104,10 +133,37 @@ class CostBoundsSpec extends AnyFunSuite {
       ja("1", "R" -> "x", "S" -> "x"), ja("2", "S" -> "y", "T" -> "x"),
       ja("3", "T" -> "y", "R" -> "y"), ja("4", "R" -> "x", "U" -> "x"),
       ja("5", "U" -> "y", "V" -> "x"), ja("6", "V" -> "y", "R" -> "y"))
-    val ex = intercept[UnsupportedQuery] {
-      executor(rels: _*).execute(QuerySpec(rels.map(_.name), joins))
-    }
-    assert(ex.getMessage.contains("not a simple cycle"))
+    rejectedBeforeAnyRun(rels, QuerySpec(rels.map(_.name), joins), "not a simple cycle")
+  }
+
+  test("executor rejects a disconnected join graph") {
+    val (r, s) = pkFkDb(3)
+    val t = rel("T", Seq("d"), Seq("d"), Seq(Seq[Any](1)))
+    rejectedBeforeAnyRun(Seq(r, s, t), QuerySpec(Seq("R", "S", "T"), Seq(b)), "disconnected")
+    rejectedBeforeAnyRun(Seq(r, s), QuerySpec(Seq("R", "S"), Nil), "disconnected")
+  }
+
+  test("executor rejects a residual query that is still cyclic") {
+    // U, V, W are ears of R in the whole query, but R carries none of the
+    // columns x, y, z, so in the residual query they form a triangle of their own
+    val (u, v, w) = (rel("U", Seq("x", "z", "w"), Seq("x", "z", "w"), Seq(Seq[Any](1, 1, 1))),
+      rel("V", Seq("x", "y"), Seq("x", "y"), Seq(Seq[Any](1, 1))),
+      rel("W", Seq("y", "z"), Seq("y", "z"), Seq(Seq[Any](1, 1))))
+    val joins = triangleJoins ++ Seq(ja("X", "R" -> "x", "U" -> "x", "V" -> "x"),
+      ja("Y", "R" -> "y", "V" -> "y", "W" -> "y"), ja("Z", "R" -> "z", "W" -> "z", "U" -> "z"),
+      ja("K", "R" -> "w", "U" -> "w"))
+    rejectedBeforeAnyRun(triangle ++ Seq(u, v, w), QuerySpec(Seq("R", "S", "T", "U", "V", "W"), joins,
+      carry = Map("R" -> Seq("w"))), "residual query still cyclic")
+  }
+
+  test("executor rejects a correlated filter its relation's rows would bypass") {
+    val L = rel("L", Seq("k", "q"), Seq("k"), Seq(Seq[Any](1, 2.0)))
+    val P = rel("P", Seq("k"), Seq("k"), Seq(Seq(1)))
+    rejectedBeforeAnyRun(Seq(L, P), QuerySpec(Seq("L", "P"), Seq(ja("k", "L" -> "k", "P" -> "k")),
+      carry = Map("L" -> Seq("q")), aggs = Seq(AggSpec(AggFunc.Count, _ => 1.0, "c")),
+      aggMode = AggMode.Scalar, rootRel = Some("L"),
+      correlated = Some(CorrelatedAvg("L", "k", t => t("q").asInstanceOf[Double], 1.0, _ < _))),
+      "correlated filter on L")
   }
 
   test("q17-style correlated pre-phase adds exactly two supersteps") {

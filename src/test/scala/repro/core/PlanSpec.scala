@@ -44,6 +44,16 @@ class JoinTreeSpec extends AnyFunSuite {
     assert(core.toSet == Set("R", "S", "T"))
   }
 
+  test("TPC-H q5's cycle is ordered from customer towards orders, closing on nationkey") {
+    val q5 = repro.workload.TpchQueries.queries.find(_.name == "q5").get.spec
+    val Left(core) = JoinTree.gyo(q5.relations, q5.joins)
+    val cycle = TagJoinExecutor.orderCycle(q5, core)
+    assert(cycle.rels == Vector("customer", "orders", "lineitem", "supplier"))
+    assert(cycle.attrs.map(_.name) == Vector("nationkey", "custkey", "orderkey", "suppkey"))
+    assert(cycle.carry == Map("lineitem" -> Seq("l_extendedprice", "l_discount"),
+      "supplier" -> Seq("s_nationkey")))
+  }
+
   test("single-relation join attrs are ignored by GYO") {
     val joins = Seq(ja("b", "R" -> "b", "S" -> "b"), ja("g", "S" -> "g"))
     assert(JoinTree.gyo(Seq("R", "S"), joins).isRight)

@@ -61,12 +61,6 @@ class TagGraphSpec extends SparkSpec {
     assert(g.numVertices <= 6 + occurrences)
   }
 
-  test("degreeByLabel counts only matching edges") {
-    val v2 = g.attrIndex(2L)
-    assert(g.degreeByLabel(v2, "ORDER.custkey") == 1)
-    assert(g.degreeByLabel(v2, "nope") == 0)
-  }
-
   test("nulls and floats never become attribute vertices") {
     val r = TestDb.rel("F", Seq("a", "b"), Seq("a", "b"),
       Seq(Seq[Any](1.5, null), Seq[Any](2.5, 7)))

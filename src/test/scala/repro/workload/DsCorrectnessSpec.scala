@@ -2,7 +2,7 @@ package repro.workload
 
 import repro.OracleSpec.duckdb
 import repro.SparkSpec
-import repro.core.TagJoinExecutor
+import repro.core.{TagJoinExecutor, UnsupportedQuery}
 
 /** Every TPC-DS-lite query: TAG-join output ≡ Spark SQL output; selected
   * queries additionally oracle-checked on DuckDB.
@@ -33,6 +33,15 @@ class DsCorrectnessSpec extends SparkSpec {
       ResultCheck.assertSame(spark.sql(q.sql),
         duckdb(q.sql, needed.map(n => n -> wl.tables(n)): _*), qn)
     }
+  }
+
+  test("TPC-DS q32 is answered under root item and rejected under the other roots") {
+    // the correlated filter runs at itemkey vertices, which catalog_sales'
+    // rows pass only when item is the root
+    val q32 = wl.query("q32")
+    ResultCheck.assertSame(ex.execute(q32.spec.copy(rootRel = Some("item"))), spark.sql(q32.sql), "q32")
+    for (root <- Seq("catalog_sales", "date_dim"))
+      intercept[UnsupportedQuery](ex.execute(q32.spec.copy(rootRel = Some(root))))
   }
 
   test("TPC-DS union-block queries run one TAG pass per block") {

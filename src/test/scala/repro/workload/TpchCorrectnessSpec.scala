@@ -2,7 +2,7 @@ package repro.workload
 
 import repro.OracleSpec.duckdb
 import repro.SparkSpec
-import repro.core.TagJoinExecutor
+import repro.core.{TagJoinExecutor, UnsupportedQuery}
 
 /** Every TPC-H-lite query: TAG-join output ≡ Spark SQL (Catalyst) output,
   * and the shared SQL ≡ DuckDB (so the baseline itself is oracle-checked).
@@ -53,6 +53,24 @@ class TpchCorrectnessSpec extends SparkSpec {
     val r = Workload.runTag(ex, wl.query("q5"))
     assert(r.rows.nonEmpty)
     assert(r.stats.size >= 2) // cycle pass + residual acyclic pass
+  }
+
+  test("TPC-H q5 whose cycle bag is empty returns Spark SQL's empty result") {
+    val q5 = wl.query("q5")
+    val none = q5.copy(
+      spec = q5.spec.copy(tupleFilter = q5.spec.tupleFilter + ("orders" -> (_ => false))),
+      sql = q5.sql.replace("GROUP BY n_name", "  AND o_orderkey < 0\nGROUP BY n_name"))
+    val want = spark.sql(none.sql)
+    assert(want.isEmpty)
+    ResultCheck.assertSame(Workload.runTag(ex, none), want, "q5 with no orders")
+  }
+
+  test("TPC-H q17 is answered under root part and rejected under root lineitem") {
+    // the correlated filter runs at partkey vertices, which lineitem's rows
+    // pass only when part is the root
+    val q17 = wl.query("q17")
+    ResultCheck.assertSame(ex.execute(q17.spec.copy(rootRel = Some("part"))), spark.sql(q17.sql), "q17")
+    intercept[UnsupportedQuery](ex.execute(q17.spec.copy(rootRel = Some("lineitem"))))
   }
 
   test("TPC-H q4 semijoin reduction uses the bottom-up pass only") {
