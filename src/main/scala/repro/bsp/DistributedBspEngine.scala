@@ -5,7 +5,6 @@ import org.apache.spark.graphx.Graph
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
-import scala.collection.immutable.ArraySeq
 import scala.reflect.ClassTag
 
 /** Distributed vertex-centric BSP engine over Spark.
@@ -17,8 +16,12 @@ import scala.reflect.ClassTag
   * the BSP barrier is the stage boundary. The same [[VertexProgram]]s run
   * unchanged on this engine and on [[LocalBspEngine]].
   *
-  * A run keeps one RDD of vertex records (info, out-edges, state, the
-  * messages sent in the last superstep), partitioned like the adjacency.
+  * Each vertex's out-edges are sorted by label once, when the engine is
+  * built, into the same [[OutEdges]] view the local engine passes, and
+  * superstep 0 asks only the vertices of the program's
+  * [[VertexProgram.startLabels]]. A run keeps one RDD of vertex records
+  * (info, out-edges, state, the messages sent in the last superstep),
+  * partitioned like the adjacency.
   * The inbox is the `reduceByKey` of the records' messages under the same
   * partitioner, so a superstep zips each record partition with its inbox
   * partition: only messages are shuffled, and `compute` runs once per
@@ -35,7 +38,9 @@ final class DistributedBspEngine(
   // task-launch overhead dominates at repro scale — fewer, fatter tasks win
   private val partitioner =
     new HashPartitioner(math.min(8, math.max(2, adjacency.sparkContext.defaultParallelism)))
-  private val adj = adjacency.partitionBy(partitioner).persist(StorageLevel.MEMORY_AND_DISK)
+  private[repro] val adj = adjacency.partitionBy(partitioner)
+    .mapValues { case (info, edges) => (info, OutEdges.sorted(edges)) }
+    .persist(StorageLevel.MEMORY_AND_DISK)
 
   override def run[S, M](program: VertexProgram[S, M])(implicit
       st: ClassTag[S], mt: ClassTag[M]): BspRun[S, M] = {
@@ -44,8 +49,9 @@ final class DistributedBspEngine(
     var aggAll: Option[M] = None
     var answers: Seq[(Long, M)] = Nil // the aggregator's answers of the last superstep
     var records: RDD[Rec[S, M]] = adj.mapPartitions(_.map { case (_, (info, edges)) =>
-      Rec(info, ArraySeq.unsafeWrapArray(edges), program.initialState(info), NoSends)
+      Rec(info, edges, program.initialState(info), NoSends)
     }, preservesPartitioning = true)
+    val starts = program.startLabels
     var step = 0
     var done = false
 
@@ -54,7 +60,8 @@ final class DistributedBspEngine(
       val next: RDD[Rec[S, M]] =
         if (step == 0)
           records.mapPartitions(_.map { r =>
-            if (program.initiallyActive(r.info, r.state, r.edges)) compute(program, curStep, r, None)
+            if (starts.forall(_(r.info.label)) && program.initiallyActive(r.info, r.state, r.edges))
+              compute(program, curStep, r, None)
             else r
           }, preservesPartitioning = true)
         else {
@@ -119,7 +126,7 @@ object DistributedBspEngine {
   /** One vertex of a run: its info and out-edges, its state, and the
     * messages it sent in the superstep that produced this record.
     */
-  private final case class Rec[S, M](info: VertexInfo, edges: IndexedSeq[OutEdge], state: S,
+  private final case class Rec[S, M](info: VertexInfo, edges: OutEdges, state: S,
       sent: Vector[(Long, M)])
 
   private val NoSends = Vector.empty

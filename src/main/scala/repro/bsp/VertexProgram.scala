@@ -36,6 +36,12 @@ trait SendCtx[M] {
   * after [[maxSteps]] supersteps. Messages to the same target within a
   * superstep are combined with [[merge]] (commutative-combiner discipline).
   *
+  * The `edges` an engine passes are an [[OutEdges]] view sorted by label,
+  * so [[OutEdges.withLabel]] selects one label's edges without a scan.
+  * [[startLabels]] narrows only which vertices an engine asks at step 0,
+  * so a wrapper that forwards every other member but not it gets the same
+  * run.
+  *
   * `S` is the per-vertex algorithm state, `M` the message type.
   */
 trait VertexProgram[S, M] extends Serializable {
@@ -52,6 +58,15 @@ trait VertexProgram[S, M] extends Serializable {
     * (the paper activates e.g. all `startLabel` vertices).
     */
   def initiallyActive(v: VertexInfo, s: S, edges: IndexedSeq[OutEdge]): Boolean
+
+  /** Vertex labels (relation names, or the attribute label `#attr`) that
+    * hold every initially active vertex; `None`, the default, means every
+    * label. An engine asks [[initiallyActive]] only of these labels'
+    * vertices, which are contiguous id ranges on [[LocalBspEngine]], so a
+    * program that starts at one relation does not pay a step-0 scan of the
+    * whole graph.
+    */
+  def startLabels: Option[Set[String]] = None
 
   /** One superstep of one active vertex: process the merged inbox (`None`
     * only for initially-active vertices at step 0), emit messages via `ctx`,

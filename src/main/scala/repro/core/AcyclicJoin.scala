@@ -51,11 +51,17 @@ final case class JState(
 
   /** Mark `senders` under `label`. */
   def mark(label: String, senders: List[Long]): JState = {
-    val in = new Array[Long](senders.length)
-    var i = 0
-    senders.foreach { id => in(i) = id; i += 1 }
-    java.util.Arrays.sort(in)
-    copy(marked = marked.updated(label, JState.union(marks(label), in)))
+    var in = new Array[Long](8)
+    var n = 0
+    var rest = senders
+    while (rest.nonEmpty) {
+      if (n == in.length) in = java.util.Arrays.copyOf(in, 2 * n)
+      in(n) = rest.head
+      n += 1
+      rest = rest.tail
+    }
+    java.util.Arrays.sort(in, 0, n)
+    copy(marked = marked.updated(label, JState.union(marks(label), in, n)))
   }
 }
 
@@ -65,14 +71,16 @@ object JState {
 
   private val NoIds = new Array[Long](0)
 
-  /** The sorted, duplicate-free union of two ascending arrays. */
-  private def union(a: Array[Long], b: Array[Long]): Array[Long] = {
-    val out = new Array[Long](a.length + b.length)
+  /** The sorted, duplicate-free union of ascending `a` and the first `bn`
+    * ids of ascending `b`.
+    */
+  private def union(a: Array[Long], b: Array[Long], bn: Int): Array[Long] = {
+    val out = new Array[Long](a.length + bn)
     var i = 0
     var j = 0
     var n = 0
-    while (i < a.length || j < b.length) {
-      val fromA = j == b.length || (i < a.length && a(i) <= b(j))
+    while (i < a.length || j < bn) {
+      val fromA = j == bn || (i < a.length && a(i) <= b(j))
       val x = if (fromA) a(i) else b(j)
       if (fromA) i += 1 else j += 1
       if (n == 0 || out(n - 1) != x) { out(n) = x; n += 1 }
@@ -128,6 +136,9 @@ final class AcyclicJoinProgram(
     v.isTuple && (v.label == plan.startRel || spec.correlated.exists(_.rel == v.label)) &&
       tupleOk(v)
 
+  override val startLabels: Option[Set[String]] =
+    Some(Set(plan.startRel) ++ spec.correlated.map(_.rel))
+
   override def merge(a: JoinMsg, b: JoinMsg): JoinMsg = JoinMsg.merge(a, b)
 
   override def compute(step: Int, v: VertexInfo, s: JState, msg: Option[JoinMsg],
@@ -137,11 +148,13 @@ final class AcyclicJoinProgram(
     if (step < preSteps) {
       msg match {
         case None => // step 0 initial actives
-          if (v.label == spec.correlated.get.rel && step == 0)
-            edges.foreach { e =>
-              if (corrLabel.contains(e.label))
-                ctx.send(e.dst, Corr(AggCell.zero.add(spec.correlated.get.valueExpr(v.tuple))))
+          if (v.label == spec.correlated.get.rel && step == 0) {
+            val es = OutEdges.withLabel(edges, corrLabel.get)
+            if (es.nonEmpty) {
+              val m = Corr(AggCell.zero.add(spec.correlated.get.valueExpr(v.tuple)))
+              es.foreachDst(ctx.send(_, m))
             }
+          }
           if (v.label == plan.startRel) ctx.send(v.id, Ping) // stay warm
           s
         case Some(Ping) =>
@@ -204,7 +217,7 @@ final class AcyclicJoinProgram(
       if (schedIdx < L) {
         // bottom-up reduction: message every matching edge (Alg. 2 lines 11-13)
         val m = Ids(List(v.id))
-        edges.foreach(e => if (e.label == cur.label) ctx.send(e.dst, m))
+        OutEdges.withLabel(edges, cur.label).foreachDst(ctx.send(_, m))
       } else if (schedIdx < 2 * L && !spec.semiJoinOnly) {
         // top-down reduction: only via marked edges (lines 15-18)
         val m = Ids(List(v.id))

@@ -46,6 +46,8 @@ final class CartesianProductProgram(
   override def initiallyActive(v: VertexInfo, s: CpState, edges: IndexedSeq[OutEdge]): Boolean =
     v.isTuple && (v.label == relR || v.label == relS) && tupleOk(v)
 
+  override val startLabels: Option[Set[String]] = Some(Set(relR, relS))
+
   override def merge(a: CpMsg, b: CpMsg): CpMsg = CpMsg.merge(a, b)
 
   override def aggregatorCompute(step: Int, merged: CpMsg): Iterator[(Long, CpMsg)] = merged match {

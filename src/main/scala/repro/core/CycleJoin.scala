@@ -2,7 +2,7 @@ package repro.core
 
 import repro.bsp._
 import repro.core.RowTable.Table
-import repro.tag.{ridCol, Tup}
+import repro.tag.{ridCol, TagGraphBuilder, Tup}
 
 /** Specification of an n-way cycle query (§6.2):
   * `R1(X1,X2) ⋈ R2(X2,X3) ⋈ … ⋈ Rn(Xn,X1)` — X_i is the join attribute
@@ -48,14 +48,23 @@ object CycMsg {
     case Mix(_)       => sys.error("nested Mix")
   }
 
-  private def union[V](a: Map[Any, V], b: Map[Any, V])(f: (V, V) => V): Map[Any, V] =
-    b.foldLeft(a) { case (m, (k, v)) => m.updated(k, m.get(k).fold(v)(f(_, v))) }
+  /** `a ∪ b`, built by adding the smaller set's ids to the larger set. */
+  private[core] def plus(a: Set[Long], b: Set[Long]): Set[Long] =
+    if (a.size >= b.size) b.foldLeft(a)(_ + _) else a.foldLeft(b)(_ + _)
+
+  /** The smaller map's entries added to the larger map, combining the
+    * values of a shared key with `f`, a commutative function.
+    */
+  private def union[V](a: Map[Any, V], b: Map[Any, V])(f: (V, V) => V): Map[Any, V] = {
+    val (big, small) = if (a.size >= b.size) (a, b) else (b, a)
+    small.foldLeft(big) { case (m, (k, v)) => m.updated(k, m.get(k).fold(v)(f(_, v))) }
+  }
 
   /** Merge two parts of the same slot. */
   private def mergePart(a: CycMsg, b: CycMsg): CycMsg = (a, b) match {
-    case (Wake(x), Wake(y))       => Wake(x ++ y)
-    case (Red(s, m1), Red(_, m2)) => Red(s, union(m1, m2)(_ ++ _))
-    case (Sig(s, m1), Sig(_, m2)) => Sig(s, union(m1, m2)(_ ++ _))
+    case (Wake(x), Wake(y))       => Wake(plus(x, y))
+    case (Red(s, m1), Red(_, m2)) => Red(s, union(m1, m2)(plus))
+    case (Sig(s, m1), Sig(_, m2)) => Sig(s, union(m1, m2)(plus))
     case (Tab(s, t1), Tab(_, t2)) => Tab(s, union(t1, t2)(_ ++ _))
     case _                        => sys.error(s"not one slot: $a / $b")
   }
@@ -167,7 +176,9 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
     * (§6.1: a vertex with no R.A or T.A edge deactivates itself).
     */
   override def initiallyActive(v: VertexInfo, s: CycState, edges: IndexedSeq[OutEdge]): Boolean =
-    !v.isTuple && edges.exists(_.label == r1x1) && edges.exists(_.label == rnx1)
+    !v.isTuple && OutEdges.withLabel(edges, r1x1).nonEmpty && OutEdges.withLabel(edges, rnx1).nonEmpty
+
+  override val startLabels: Option[Set[String]] = Some(Set(TagGraphBuilder.AttrLabel))
 
   override def merge(a: CycMsg, b: CycMsg): CycMsg = CycMsg.merge(a, b)
 
@@ -175,23 +186,24 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
       edges: IndexedSeq[OutEdge], ctx: SendCtx[CycMsg]): CycState = {
 
     def startReduction(st: CycState): CycState = {
-      val red = (side: Char) => Red(side, Map(v.value -> Set(v.id)))
-      edges.foreach { e =>
-        if (e.label == path('L')(0)) ctx.send(e.dst, red('L'))
-        if (e.label == path('R')(0)) ctx.send(e.dst, red('R'))
+      for (side <- Seq('L', 'R')) {
+        val red = Red(side, Map(v.value -> Set(v.id)))
+        OutEdges.withLabel(edges, path(side)(0)).foreachDst(ctx.send(_, red))
       }
       st
     }
 
     if (step == 0) {
       // anchor selection at X1 attributes, by local R1.X1 degree (§6.1.2)
-      val deg = edges.count(_.label == r1x1)
+      val deg = OutEdges.withLabel(edges, r1x1).length
       mode match {
         case Vanilla => return startReduction(s)
         case Heavy   => return if (deg > spec.theta.get) startReduction(s) else s
         case Light =>
-          if (deg <= spec.theta.get)
-            edges.foreach(e => if (e.label == r1x1) ctx.send(e.dst, Wake(Set(v.id))))
+          if (deg <= spec.theta.get) {
+            val wake = Wake(Set(v.id))
+            OutEdges.withLabel(edges, r1x1).foreachDst(ctx.send(_, wake))
+          }
           return s
       }
     }
@@ -206,7 +218,8 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
           // light R1 tuples relay the wake-up to their X2 value
           if (tupleOk(v)) {
             st = st.copy(lightRelay = true)
-            edges.foreach(e => if (e.label == r1x2) ctx.send(e.dst, Wake(Set(v.id))))
+            val wake = Wake(Set(v.id))
+            OutEdges.withLabel(edges, r1x2).foreachDst(ctx.send(_, wake))
           }
         } else if (light && step == 2 && !v.isTuple) {
           // awakened X2 attributes are the light-pass anchors
@@ -221,13 +234,13 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
           else anchors0
         if (anchors.nonEmpty) {
           val upd = anchors.foldLeft(st.reached) { case (m0, (a, snd)) =>
-            m0.updated((side, pos, a), m0.getOrElse((side, pos, a), Set.empty) ++ snd)
+            m0.updated((side, pos, a), m0.get((side, pos, a)).fold(snd)(plus(_, snd)))
           }
           st = st.copy(reached = upd)
           val len = path(side).length
           if (pos < len) {
             val fwd = Red(side, anchors.keysIterator.map(a => a -> Set(v.id)).toMap)
-            edges.foreach(e => if (e.label == path(side)(pos)) ctx.send(e.dst, fwd))
+            OutEdges.withLabel(edges, path(side)(pos)).foreachDst(ctx.send(_, fwd))
           } else if (step == redEnd) {
             // meeting vertex on the longer side: intersect and signal back,
             // once both sides' parts of this step are recorded
@@ -240,7 +253,7 @@ final class CyclePassProgram(spec: CycleSpec, mode: CyclePassProgram.Mode)
       case Sig(side, from) =>
         val backPos = path(side).length - (step - redEnd) // position from anchor
         val upd = from.foldLeft(st.sigFrom) { case (m0, (a, snd)) =>
-          m0.updated((side, backPos, a), m0.getOrElse((side, backPos, a), Set.empty) ++ snd)
+          m0.updated((side, backPos, a), m0.get((side, backPos, a)).fold(snd)(plus(_, snd)))
         }
         st = st.copy(sigFrom = upd)
         if (backPos > 0) {

@@ -89,9 +89,9 @@ final case class QuerySpec(
 
 /** A query shape the TAG-join executor cannot evaluate, raised while the
   * query is planned and so before any superstep runs: a disconnected join
-  * graph, a cyclic core that is not a simple cycle, a residual query (the
-  * cycle's bag joined with the other relations) that is still cyclic, a
-  * multi-attribute tree edge, or a correlated filter whose relation's rows
-  * would reach the output without passing the filter's attribute.
+  * graph, a cyclic core that is not a simple cycle, a multi-attribute tree
+  * edge (also between the cycle's bag and the other relations), or a
+  * correlated filter whose relation's rows would reach the output without
+  * passing the filter's attribute.
   */
 final class UnsupportedQuery(message: String) extends IllegalArgumentException(message)

@@ -21,6 +21,7 @@ final class ScanProgram(rel: String, spec: QuerySpec) extends VertexProgram[JSta
   override def initialState(v: VertexInfo): JState = JState.Empty
   override def initiallyActive(v: VertexInfo, s: JState, edges: IndexedSeq[OutEdge]): Boolean =
     v.isTuple && v.label == rel && spec.tupleFilter.get(rel).forall(_(v.tuple))
+  override val startLabels: Option[Set[String]] = Some(Set(rel))
   override def merge(a: JoinMsg, b: JoinMsg): JoinMsg = JoinMsg.merge(a, b)
   override def compute(step: Int, v: VertexInfo, s: JState, msg: Option[JoinMsg],
       edges: IndexedSeq[OutEdge], ctx: SendCtx[JoinMsg]): JState = {
@@ -68,7 +69,15 @@ final class TagJoinExecutor(
       assemble(spec, baseEngine.run(new ScanProgram(spec.relations.head, spec)))
     else joinTree(spec) match {
       case Right(tree) => runAcyclic(baseEngine, planAcyclic(spec, tree))
-      case Left(core)  => runCyclic(spec, orderCycle(spec, core), planResidual(spec, core))
+      case Left(core) =>
+        val wide = spec.copy(carry = carryJoinColumns(spec, core))
+        val r = runCyclic(wide, orderCycle(wide, core), planResidual(wide, core))
+        if (spec.aggMode != AggMode.NoAgg) r
+        else { // drop the join columns the query itself does not carry
+          val cols = outputColumns(spec)
+          val keep = cols.toSet
+          r.copy(rows = r.rows.map(_.view.filterKeys(keep).toMap), columns = cols)
+        }
     }
 
   private def runAcyclic(engine: BspEngine, program: AcyclicJoinProgram): QueryResult =
@@ -178,11 +187,27 @@ object TagJoinExecutor {
       carry = spec.carry.view.filterKeys(rels.contains).toMap)
   }
 
+  /** `spec.carry`, plus one core column of each join between the cyclic
+    * core and the residual relations that the core does not carry yet, so
+    * that the cycle's bag holds a column to join each residual relation on.
+    */
+  private def carryJoinColumns(spec: QuerySpec, core: Seq[String]): Map[String, Seq[String]] = {
+    val residualRels = spec.relations.filterNot(core.contains)
+    spec.joins.filter(_.rels.exists(residualRels.contains)).foldLeft(spec.carry) { (carry, j) =>
+      val coreCols = core.flatMap(r => j.cols.get(r).map(r -> _))
+      if (coreCols.isEmpty || coreCols.exists { case (r, c) => carry.getOrElse(r, Nil).contains(c) }) carry
+      else {
+        val (r, c) = coreCols.head
+        carry.updated(r, carry.getOrElse(r, Nil) :+ c)
+      }
+    }
+  }
+
   /** §6.4 step 2: the residual relations joined acyclically with the cycle's
     * bag, or `None` when the core is the whole query. The cycle pass outputs
     * exactly the core relations' carried columns, so those are the bag's
     * columns, and join attributes touching the core are remapped to the bag
-    * through them.
+    * through them ([[carryJoinColumns]] makes sure one is carried).
     */
   private def planResidual(spec: QuerySpec, core: Seq[String]): Option[AcyclicJoinProgram] = {
     val residualRels = spec.relations.filterNot(core.contains)
@@ -194,7 +219,9 @@ object TagJoinExecutor {
     val bagCols = core.flatMap(spec.carry.getOrElse(_, Nil)).distinct
     val residualJoins = spec.joins.flatMap { j =>
       val outside = j.cols.view.filterKeys(residualRels.contains).toMap
-      val coreSide = j.cols.collectFirst { case (r, c) if core.contains(r) && bagCols.contains(c) => c }
+      val coreSide = j.cols.collectFirst {
+        case (r, c) if core.contains(r) && spec.carry.getOrElse(r, Nil).contains(c) => c
+      }
       if (outside.isEmpty) None else Some(JoinAttr(j.name, outside ++ coreSide.map(Bag -> _)))
     }
     val resSpec = spec.copy(
@@ -204,10 +231,10 @@ object TagJoinExecutor {
       carry = spec.carry.view.filterKeys(residualRels.contains).toMap + (Bag -> bagCols),
       rootRel = spec.rootRel.filter(r => residualRels.contains(r) || r == Bag),
     )
-    joinTree(resSpec) match {
-      case Right(tree) => Some(planAcyclic(resSpec, tree))
-      case Left(more)  => throw new UnsupportedQuery(s"residual query still cyclic: $more")
-    }
+    // Acyclic: every ear of the whole query is an ear of the residual query,
+    // the bag standing in for a core witness, since it carries the join.
+    val tree = joinTree(resSpec).getOrElse(throw new IllegalStateException(s"cyclic residual: $resSpec"))
+    Some(planAcyclic(resSpec, tree))
   }
 
   // --------------------------------------------------------------- assembly

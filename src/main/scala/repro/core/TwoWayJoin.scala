@@ -2,7 +2,7 @@ package repro.core
 
 import repro.bsp._
 import repro.core.RowTable.Table
-import repro.tag.{ridCol, Tup}
+import repro.tag.{ridCol, TagGraphBuilder, Tup}
 
 /** Join type for the §4 two-way join (outer variants per §7). */
 sealed trait JoinType extends Serializable
@@ -90,8 +90,8 @@ final class TwoWayJoinProgram(spec: TwoWaySpec) extends VertexProgram[TwState, T
     */
   override def initiallyActive(v: VertexInfo, s: TwState, edges: IndexedSeq[OutEdge]): Boolean = {
     if (v.isTuple) return false
-    val hasR = edges.exists(_.label == lr)
-    val hasS = edges.exists(_.label == ls)
+    val hasR = OutEdges.withLabel(edges, lr).nonEmpty
+    val hasS = OutEdges.withLabel(edges, ls).nonEmpty
     spec.joinType match {
       case Inner => hasR && hasS
       case Left  => hasR
@@ -99,6 +99,8 @@ final class TwoWayJoinProgram(spec: TwoWaySpec) extends VertexProgram[TwState, T
       case Full  => hasR || hasS
     }
   }
+
+  override val startLabels: Option[Set[String]] = Some(Set(TagGraphBuilder.AttrLabel))
 
   override def merge(a: TwMsg, b: TwMsg): TwMsg = TwMsg.merge(a, b)
 
@@ -122,7 +124,8 @@ final class TwoWayJoinProgram(spec: TwoWaySpec) extends VertexProgram[TwState, T
     (step, msg) match {
       case (0, None) =>
         // Superstep 1: signal joining tuple vertices via both label sides
-        edges.foreach(e => if (e.label == lr || e.label == ls) ctx.send(e.dst, TIds(List(v.id))))
+        val m = TIds(List(v.id))
+        Seq(lr, ls).distinct.foreach(OutEdges.withLabel(edges, _).foreachDst(ctx.send(_, m)))
         s
 
       case (1, Some(TIds(senders))) =>

@@ -67,26 +67,31 @@ object TagGraphBuilder {
     def label(l: String): Int =
       labelId.getOrElseUpdate(l, { labelNames += l; labelNames.size - 1 })
 
-    // First pass: undirected edge list (tuple, attr, label).
-    val eT = new mutable.ArrayBuffer[Int]()
-    val eA = new mutable.ArrayBuffer[Int]()
-    val eL = new mutable.ArrayBuffer[Int]()
-    var tid = 0
+    // First pass: undirected edge list (tuple, attr, label), label-major:
+    // label ids ascend along the list, and tuple ids ascend within a label.
+    val eTb = new mutable.ArrayBuilder.ofInt
+    val eAb = new mutable.ArrayBuilder.ofInt
+    val eLb = new mutable.ArrayBuilder.ofInt
+    var base = 0
     relations.foreach { rel =>
-      val labs = rel.attrCols.map(c => (c, label(s"${rel.name}.$c"))).toArray
-      rel.rows.foreach { t =>
-        labs.foreach { case (c, lid) =>
+      rel.attrCols.foreach { c =>
+        val lid = label(s"${rel.name}.$c")
+        var tid = base
+        rel.rows.foreach { t =>
           val v = t.getOrElse(c, null)
           if (v != null && ValueKey.materializable(v)) {
-            eT += tid; eA += attrVertex(v); eL += lid
+            eTb += tid; eAb += attrVertex(v); eLb += lid
           }
+          tid += 1
         }
-        tid += 1
       }
+      base += rel.rows.size
     }
+    val (eT, eA, eL) = (eTb.result(), eAb.result(), eLb.result())
 
     val n = nTuples + attrVals.size
-    // Degree count (both directions), then CSR fill.
+    // Degree count (both directions), then CSR fill in edge-list order, so
+    // each vertex's slice comes out sorted by (label id, dst).
     val deg = new Array[Int](n)
     var i = 0
     while (i < eT.length) { deg(eT(i)) += 1; deg(eA(i)) += 1; i += 1 }

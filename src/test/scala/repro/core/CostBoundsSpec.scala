@@ -143,9 +143,22 @@ class CostBoundsSpec extends AnyFunSuite {
     rejectedBeforeAnyRun(Seq(r, s), QuerySpec(Seq("R", "S"), Nil), "disconnected")
   }
 
+  test("the cycle's bag carries the core column of every join with the residual relations") {
+    // U joins the triangle on R.x, which no relation carries: the bag gets
+    // x for the join, and the output leaves it out
+    val u = rel("U", Seq("x", "u"), Seq("x"), Seq(Seq[Any](1, "u1"), Seq[Any](2, "u2")))
+    val out = executor(triangle :+ u: _*).execute(QuerySpec(Seq("R", "S", "T", "U"),
+      triangleJoins :+ ja("X", "R" -> "x", "U" -> "x"), carry = Map("S" -> Seq("c"), "U" -> Seq("u"))))
+    assert(sameBag(out.rows, Vector(Map("c" -> 1L, "u" -> "u1"))))
+    assert(out.columns.sorted == Seq("c", "u"))
+  }
+
   test("executor rejects a residual query that is still cyclic") {
-    // U, V, W are ears of R in the whole query, but R carries none of the
-    // columns x, y, z, so in the residual query they form a triangle of their own
+    // U, V, W are ears of R in the whole query. Built from the carried columns
+    // alone (w), the residual query would be a triangle U, V, W of its own; the
+    // bag now also carries x, y, z, so U, V, W stay ears of the bag and the
+    // residual is acyclic, and U joins the bag on three attributes, which is
+    // rejected before the first superstep
     val (u, v, w) = (rel("U", Seq("x", "z", "w"), Seq("x", "z", "w"), Seq(Seq[Any](1, 1, 1))),
       rel("V", Seq("x", "y"), Seq("x", "y"), Seq(Seq[Any](1, 1))),
       rel("W", Seq("y", "z"), Seq("y", "z"), Seq(Seq[Any](1, 1))))
@@ -153,7 +166,7 @@ class CostBoundsSpec extends AnyFunSuite {
       ja("Y", "R" -> "y", "V" -> "y", "W" -> "y"), ja("Z", "R" -> "z", "W" -> "z", "U" -> "z"),
       ja("K", "R" -> "w", "U" -> "w"))
     rejectedBeforeAnyRun(triangle ++ Seq(u, v, w), QuerySpec(Seq("R", "S", "T", "U", "V", "W"), joins,
-      carry = Map("R" -> Seq("w"))), "residual query still cyclic")
+      carry = Map("R" -> Seq("w"))), "multi-attribute tree edge")
   }
 
   test("executor rejects a correlated filter its relation's rows would bypass") {

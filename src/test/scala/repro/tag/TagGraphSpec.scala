@@ -1,7 +1,9 @@
 package repro.tag
 
 import repro.SparkSpec
+import repro.bsp.{DistributedBspEngine, OutEdges}
 import repro.core.TestDb
+import repro.workload.TpchQueries
 
 /** TAG encoding invariants (§3), on the paper's Figure 1 example. */
 class TagGraphSpec extends SparkSpec {
@@ -73,6 +75,43 @@ class TagGraphSpec extends SparkSpec {
     val t = (0 until g.numVertices).find(v => g.isTuple(v) && g.vertexLabel(v) == "NATION").get
     assert(g.tupleData(t).contains("name"))
   }
+
+  /** Both engines' edge views of `rels`: the CSR slices of the local graph,
+    * and the per-vertex views the distributed engine builds from GraphX.
+    */
+  private def views(rels: Seq[TagRelation]): (LocalTagGraph, Seq[(String, Seq[OutEdges])]) = {
+    val local = TagGraphBuilder.local(rels)
+    val dist = DistributedBspEngine.fromGraph(TagGraphBuilder.graphx(spark, rels)).adj
+      .map { case (_, (_, es)) => es }.collect().toSeq
+    (local, Seq("local" -> (0 until local.numVertices).map(local.outEdges), "dist" -> dist))
+  }
+
+  for ((db, rels) <- Seq[(String, () => Seq[TagRelation])](
+      "Figure 1" -> (() => Seq(nation, customer, order)),
+      "TPC-H SF 0.002" -> (() => TpchQueries.workload(spark, 0.002).relationSpecs
+        .map { case (n, df, ac) => TagRelation.fromDataFrame(n, df, ac) })))
+    test(s"$db: every edge view is sorted by label, and withLabel is its label's range") {
+      val (local, byEngine) = views(rels())
+      val labels = local.labelNames.toSeq :+ "no.such"
+      // the CSR itself: each slice ascends by (label id, dst)
+      for (v <- 0 until local.numVertices; i <- local.edgeOffsets(v) + 1 until local.edgeOffsets(v + 1)) {
+        val prev = (local.edgeLabelId(i - 1), local.edgeDst(i - 1))
+        val cur = (local.edgeLabelId(i), local.edgeDst(i))
+        assert(Ordering[(Int, Int)].lteq(prev, cur), s"vertex $v")
+      }
+      for ((engine, views) <- byEngine) {
+        assert(views.map(_.length).sum == local.numEdges, engine)
+        views.foreach { es =>
+          // the local view orders labels by id, checked on the CSR above
+          if (engine == "dist") assert(es.map(_.label) == es.map(_.label).sorted)
+          for (l <- labels) {
+            val want = es.filter(_.label == l)
+            assert(es.withLabel(l) == want, s"$engine $l")
+            assert(want.map(_.dst) == want.map(_.dst).sorted, s"$engine $l")
+          }
+        }
+      }
+    }
 
   test("the GraphX graph has the CSR's vertex ids, infos and edges") {
     val gx = TagGraphBuilder.graphx(spark, Seq(nation, customer, order))

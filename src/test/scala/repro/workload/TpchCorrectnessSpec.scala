@@ -65,6 +65,13 @@ class TpchCorrectnessSpec extends SparkSpec {
     ResultCheck.assertSame(Workload.runTag(ex, none), want, "q5 with no orders")
   }
 
+  test("TPC-H q5 whose core carries no nationkey column still joins nation through the bag") {
+    // the bag then carries a core nationkey column for the residual join
+    val q5 = wl.query("q5")
+    val bare = q5.copy(spec = q5.spec.copy(carry = q5.spec.carry - "supplier"))
+    ResultCheck.assertSame(Workload.runTag(ex, bare), spark.sql(q5.sql), "q5 without supplier carry")
+  }
+
   test("TPC-H q17 is answered under root part and rejected under root lineitem") {
     // the correlated filter runs at partkey vertices, which lineitem's rows
     // pass only when part is the root
